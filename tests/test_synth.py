@@ -757,3 +757,85 @@ class TestReconcile:
         ours = count_vocab_tokens(corpus, hist)
         theirs = class_counts_restricted(corpus, hist.per_class)
         assert {k: dict(v) for k, v in ours.items()} == theirs
+
+
+class TestReconcileDistribution:
+    """Edits are uniform: the record that absorbs an insertion, the boundary
+    it lands on, and the occurrences a deletion removes. Each test reconciles
+    a tiny one-class corpus under a few thousand fixed seeds and compares the
+    outcome frequencies with the uniform law by a chi-square test."""
+
+    SEEDS = range(3000)
+
+    @staticmethod
+    def assert_uniform(outcomes, support):
+        from collections import Counter
+
+        from scipy.stats import chisquare
+
+        counts = Counter(outcomes)
+        assert set(counts) == set(support), sorted(set(counts) ^ set(support))
+        observed = [counts[s] for s in support]
+        assert chisquare(observed).pvalue > 1e-3, dict(zip(support, observed))
+
+    def test_inserted_copy_lands_in_a_uniform_record(self):
+        corpus = Corpus(tuple(world_record("aa bb", "cc dd") for _ in range(3)), Split.UNSPLIT)
+        target = one_class_target({"zz": 1}, 1)
+        chosen = []
+        for seed in self.SEEDS:
+            out = reconcile_corpus(corpus, target, make_rng(seed))
+            edited = [i for i, (a, b) in enumerate(zip(corpus.records, out.records)) if a is not b]
+            assert len(edited) == 1
+            chosen.append(edited[0])
+        self.assert_uniform(chosen, [0, 1, 2])
+
+    def test_inserted_copy_lands_on_a_uniform_boundary(self):
+        # Title "aa bb" has three boundaries; description "cc dd ee" has four,
+        # but nothing is ever inserted after its last token.
+        corpus = Corpus((world_record("aa bb", "cc dd ee"),), Split.UNSPLIT)
+        target = one_class_target({"zz": 1}, 1)
+        landed = []
+        for seed in self.SEEDS:
+            rec = reconcile_corpus(corpus, target, make_rng(seed)).records[0]
+            title, desc = rec.title.split(), rec.description.split()
+            landed.append(("title", title.index("zz")) if "zz" in title else ("desc", desc.index("zz")))
+        self.assert_uniform(landed, [(f, p) for f in ("title", "desc") for p in range(3)])
+
+    def test_copies_of_two_tokens_in_one_record_are_uniformly_arranged(self):
+        # Two single-token insertions into the same record must look like two
+        # sequential uniform-boundary inserts: 3 * 4 equally likely layouts.
+        corpus = Corpus((world_record("aa", "bb"),), Split.UNSPLIT)
+        target = one_class_target({"xx": 1, "yy": 1}, 2)
+        layouts = []
+        for seed in self.SEEDS:
+            rec = reconcile_corpus(corpus, target, make_rng(seed)).records[0]
+            layouts.append((rec.title, rec.description))
+        # "|" stands for the title/description boundary; nothing follows "bb".
+        support = set()
+        for b1 in range(3):
+            for b2 in range(4):
+                seq = ["aa", "|", "bb"]
+                seq.insert(b1, "xx")
+                seq.insert(b2, "yy")
+                cut = seq.index("|")
+                support.add((" ".join(seq[:cut]), " ".join(seq[cut + 1:])))
+        assert len(support) == 12
+        self.assert_uniform(layouts, sorted(support))
+
+    def test_deleted_occurrences_are_uniform(self):
+        # Four occurrences of zz, two of them must go: six surviving pairs.
+        corpus = Corpus((world_record("zz aa zz", "zz bb zz"),), Split.UNSPLIT)
+        target = one_class_target({"zz": 2}, 1)
+        kept = []
+        for seed in self.SEEDS:
+            rec = reconcile_corpus(corpus, target, make_rng(seed)).records[0]
+            kept.append((rec.title, rec.description))
+        support = set()
+        for drop in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
+            seq = ["zz", "aa", "zz", "|", "zz", "bb", "zz"]
+            zz = [i for i, w in enumerate(seq) if w == "zz"]
+            survivors = [w for i, w in enumerate(seq) if i not in {zz[d] for d in drop}]
+            cut = survivors.index("|")
+            support.add((" ".join(survivors[:cut]), " ".join(survivors[cut + 1:])))
+        assert len(support) == 6
+        self.assert_uniform(kept, sorted(support))
