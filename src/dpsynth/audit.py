@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import rankdata
 
 from .corpus import ClassLabel, Corpus
 from .errors import OverlapDetected, SingleClassInput
@@ -81,7 +79,7 @@ def _true_label_confidences(model, features: TfIdfModel, corpus: Corpus) -> np.n
     if isinstance(model, MnbModel):
         probs = mnb_posterior(model, X)
     elif isinstance(model, SvmModel):
-        squashed = expit(svm_margins(model, X))
+        squashed = _logistic(svm_margins(model, X))
         probs = squashed / squashed.sum(axis=1, keepdims=True)
     else:
         raise TypeError(f"no confidence rule for model type {type(model).__name__}")
@@ -93,6 +91,19 @@ def _true_label_confidences(model, features: TfIdfModel, corpus: Corpus) -> np.n
             out[i] = probs[i, j]
     # guard against sigmoid round-off nudging past 1
     return np.clip(out, 0.0, 1.0)
+
+
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), computed from exp(-|x|) so no margin overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    return (last - (counts - 1) / 2.0)[inverse]
 
 
 def collect_confidences(
@@ -178,7 +189,7 @@ def threshold_attack(members, nonmembers) -> MiaResult:
             best_threshold = float(theta)
 
     combined = np.concatenate([member_conf, nonmember_conf])
-    ranks = rankdata(combined, method="average")
+    ranks = _average_ranks(combined)
     n_m = member_conf.size
     n_n = nonmember_conf.size
     u_stat = float(ranks[:n_m].sum()) - n_m * (n_m + 1) / 2.0

@@ -8,13 +8,23 @@ occurrences are inserted as copies at uniformly random token boundaries of
 uniformly chosen records. Tokens outside the target vocabulary are never
 touched.
 
+Each class is edited from an index built in one pass over its tokens. All of
+a class's deletions come first; then every missing copy gets its record, and
+each receiving record takes all of its copies in one merge. The merge has the
+law of that many sequential inserts at uniform boundaries, where a boundary is
+any place in the title or description except after the last description
+token.
+
 Edited records are re-rendered as space-joined token sequences; tokenize()
 is idempotent on exactly that form, which is what makes the recount land on
 the target. Untouched records keep their original text byte for byte.
 
-The generator is consumed single-threaded in a fixed order (classes in enum
-order, tokens lexicographically, then per-copy draws), so a seeded generator
-reproduces the edit sequence exactly.
+The generator is consumed single-threaded in a fixed order. Classes go in
+enum order. Within a class: one draw of the occurrences to delete per
+over-full cell, tokens lexicographically; one draw of the target records of
+all the class's missing copies (copies listed by token, lexicographically);
+then one draw of slots per receiving record, in record order. A seeded
+generator therefore reproduces the edit sequence exactly.
 """
 from __future__ import annotations
 
@@ -34,6 +44,8 @@ from ..errors import InsufficientRecords, VocabMismatch
 # A field whose tokens were all deleted is rendered as ".": non-empty text
 # that tokenizes to nothing, so record invariants hold and counts do not move.
 _EMPTY_FIELD = "."
+# Marks the title/description cut while a record is merged; never a token.
+_CUT = ""
 
 
 def reconcile_corpus(
@@ -66,37 +78,42 @@ def reconcile_corpus(
     for label in LABELS:
         cells = target.per_class.get(label, {})
         idx = members[label]
+        occurrences: dict = {token: [] for token in cells}
+        for i in idx:
+            for where, seq in ((0, titles[i]), (1, descs[i])):
+                for pos, word in enumerate(seq):
+                    hits = occurrences.get(word)
+                    if hits is not None:
+                        hits.append((i, where, pos))
+
+        doomed: dict = {}
+        copies = []
         for token in sorted(cells):
-            goal = cells[token]
-            occurrences = [
-                (i, where, pos)
-                for i in idx
-                for where, seq in ((0, titles[i]), (1, descs[i]))
-                for pos, word in enumerate(seq)
-                if word == token
-            ]
-            current = len(occurrences)
-            if goal < current:
-                picks = rng.choice(current, size=current - goal, replace=False)
-                # Delete deepest positions first so earlier indices stay valid.
-                chosen = sorted((occurrences[int(j)] for j in picks), reverse=True)
-                for i, where, pos in chosen:
-                    seq = titles[i] if where == 0 else descs[i]
-                    del seq[pos]
-                    dirty[i] = True
-            elif goal > current:
-                if not idx:
-                    raise InsufficientRecords(
-                        f"class {label.display} has no records to absorb insertions"
-                    )
-                for _ in range(goal - current):
-                    i = idx[int(rng.integers(0, len(idx)))]
-                    boundary = int(rng.integers(0, len(titles[i]) + len(descs[i]) + 1))
-                    if boundary <= len(titles[i]):
-                        titles[i].insert(boundary, token)
-                    else:
-                        descs[i].insert(boundary - len(titles[i]) - 1, token)
-                    dirty[i] = True
+            hits = occurrences[token]
+            surplus = len(hits) - int(cells[token])
+            if surplus > 0:
+                for j in rng.choice(len(hits), size=surplus, replace=False).tolist():
+                    i, where, pos = hits[j]
+                    doomed.setdefault((i, where), set()).add(pos)
+            elif surplus < 0:
+                copies.extend([token] * -surplus)
+        for (i, where), positions in doomed.items():
+            seqs = titles if where == 0 else descs
+            seqs[i] = [word for pos, word in enumerate(seqs[i]) if pos not in positions]
+            dirty[i] = True
+
+        if not copies:
+            continue
+        if not idx:
+            raise InsufficientRecords(
+                f"class {label.display} has no records to absorb insertions"
+            )
+        received: dict = {}
+        for token, r in zip(copies, rng.integers(0, len(idx), size=len(copies)).tolist()):
+            received.setdefault(idx[r], []).append(token)
+        for i in sorted(received):
+            titles[i], descs[i] = _merge(titles[i], descs[i], received[i], rng)
+            dirty[i] = True
 
     records = []
     for i, rec in enumerate(synthetic.records):
@@ -121,6 +138,28 @@ def reconcile_corpus(
 
     _verify_counts(result, target)
     return result
+
+
+def _merge(title: list, desc: list, new: list, rng: np.random.Generator):
+    """Insert the ``new`` tokens into one record in a single pass.
+
+    Same law as len(new) sequential inserts, each at a uniform boundary
+    before a title token, the title/description cut or a description token:
+    the copies take a uniform set of slots of the merged sequence, in
+    uniform order, and the last slot keeps what was last before the merge,
+    so nothing lands after the last description token.
+    """
+    seq = title + [_CUT] + desc
+    merged = [None] * (len(seq) + len(new))
+    # An ordered sample of distinct slots is a uniform slot set and a
+    # uniform order of the copies in one draw.
+    slots = rng.choice(len(merged) - 1, size=len(new), replace=False)
+    for slot, token in zip(slots.tolist(), new):
+        merged[slot] = token
+    rest = iter(seq)
+    merged = [word if word is not None else next(rest) for word in merged]
+    cut = merged.index(_CUT)
+    return merged[:cut], merged[cut + 1:]
 
 
 def count_vocab_tokens(corpus: Corpus, target: NoisyHistogram | TokenHistogram) -> dict:

@@ -9,6 +9,8 @@ from dpsynth.audit import (
     ConfidenceRecord,
     LeakageReport,
     MiaResult,
+    _average_ranks,
+    _logistic,
     collect_confidences,
     compare_leakage,
     threshold_attack,
@@ -173,6 +175,35 @@ class TestCollectConfidences:
         model, features = self.fitted_mnb(members)
         _, n = collect_confidences(model, features, members, nonmembers)
         assert n[0].confidence == 0.0
+
+
+class TestNumpyHelpers:
+    """The audit's own rank and sigmoid agree with scipy's."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_average_ranks_match_rankdata(self, seed):
+        from scipy.stats import rankdata
+
+        rng = make_rng(seed)
+        n = int(rng.integers(1, 400))
+        # few distinct values, so most entries are tied
+        values = rng.integers(0, int(rng.integers(1, 12)), size=n) / 7.0
+        assert np.array_equal(_average_ranks(values), rankdata(values, method="average"))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_logistic_matches_expit(self, seed):
+        from scipy.special import expit
+
+        rng = make_rng(seed)
+        margins = np.concatenate([
+            rng.normal(0.0, 5.0, size=(500, 4)).ravel(),
+            rng.uniform(-1000.0, 1000.0, size=2000),
+            [-1000.0, -745.0, -40.0, 0.0, 40.0, 745.0, 1000.0],
+        ])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            ours = _logistic(margins)
+        np.testing.assert_allclose(ours, expit(margins), rtol=1e-12, atol=1e-300)
+        assert ours.min() >= 0.0 and ours.max() <= 1.0
 
 
 class TestCompareLeakage:

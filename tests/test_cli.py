@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -147,6 +150,22 @@ class TestStage:
             with stage("outer"):
                 raise inner
         assert err.value is inner
+
+
+def test_cli_import_leaves_scipy_stats_and_special_unloaded():
+    # Every command pays for what dpsynth.cli imports at start-up.
+    import dpsynth
+
+    src = str(Path(dpsynth.__file__).resolve().parents[1])
+    code = (
+        "import sys, dpsynth.cli\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'special'])))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------- generate
