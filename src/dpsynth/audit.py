@@ -168,7 +168,8 @@ def threshold_attack(members, nonmembers) -> MiaResult:
     """Best threshold attacker over the observed confidence values.
 
     Every distinct confidence is tried as a threshold (guess member when
-    confidence >= threshold). Advantage is the best TPR - FPR; ties on
+    confidence >= threshold); one sort per side gives every threshold's TPR
+    and FPR by binary search. Advantage is the best TPR - FPR; ties on
     advantage resolve to the smallest threshold. AUC is the Mann-Whitney
     statistic computed from midranks, so heavy ties are handled exactly.
     """
@@ -177,21 +178,19 @@ def threshold_attack(members, nonmembers) -> MiaResult:
     if member_conf.size == 0 or nonmember_conf.size == 0:
         raise SingleClassInput("need at least one member and one non-member confidence")
 
-    thresholds = np.unique(np.concatenate([member_conf, nonmember_conf]))
-    best_adv = -1.0
-    best_threshold = float(thresholds[0])
-    for theta in thresholds:
-        tpr = float(np.mean(member_conf >= theta))
-        fpr = float(np.mean(nonmember_conf >= theta))
-        adv = tpr - fpr
-        if adv > best_adv:
-            best_adv = adv
-            best_threshold = float(theta)
-
-    combined = np.concatenate([member_conf, nonmember_conf])
-    ranks = _average_ranks(combined)
     n_m = member_conf.size
     n_n = nonmember_conf.size
+    combined = np.concatenate([member_conf, nonmember_conf])
+    thresholds = np.unique(combined)
+    # Values >= theta are those at or after theta's left insertion point.
+    tpr = (n_m - np.searchsorted(np.sort(member_conf), thresholds, side="left")) / n_m
+    fpr = (n_n - np.searchsorted(np.sort(nonmember_conf), thresholds, side="left")) / n_n
+    advantages = tpr - fpr
+    best = int(np.argmax(advantages))  # first maximum: the smallest threshold
+    best_adv = float(advantages[best])
+    best_threshold = float(thresholds[best])
+
+    ranks = _average_ranks(combined)
     u_stat = float(ranks[:n_m].sum()) - n_m * (n_m + 1) / 2.0
     auc = u_stat / (n_m * n_n)
 

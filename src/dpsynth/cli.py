@@ -57,12 +57,13 @@ from .evaluation import (
     evaluate,
     fit_tfidf,
     icl_evaluate,
-    make_predictor,
+    predict,
     render_icl_table,
     render_model_table,
     render_sweep_table,
     train_mnb,
     train_svm,
+    transform_corpus,
 )
 from .audit import collect_confidences, compare_leakage, threshold_attack
 from .rngutil import sub_rng, subseed
@@ -116,7 +117,6 @@ class ExperimentConfig:
     cache_dir: str = ""
     mnb_alpha: float = 1.0
     svm_c_grid: tuple = (0.1, 1.0, 10.0)
-    svm_epochs: int = 10
     svm_val_fraction: float = 0.30
 
     def __post_init__(self):
@@ -191,7 +191,6 @@ class ExperimentConfig:
             "cache_dir": self.cache_dir,
             "mnb_alpha": self.mnb_alpha,
             "svm_c_grid": list(self.svm_c_grid),
-            "svm_epochs": self.svm_epochs,
             "svm_val_fraction": self.svm_val_fraction,
         }
 
@@ -476,14 +475,14 @@ def cmd_generate(config: ExperimentConfig) -> RunManifest:
 
 # ---------------------------------------------------------------- evaluate
 
-def _train_and_score(
+def _fit_and_predict(
     config: ExperimentConfig,
     name: str,
     train_corpus: Corpus,
-    source: str,
     test: Corpus,
-    fingerprint: str,
-) -> EvalReport:
+    seed: int,
+) -> list:
+    """Fit features and an MNB or SVM model on one corpus; label the test split."""
     features = fit_tfidf(train_corpus)
     if name == "mnb":
         model = train_mnb(train_corpus, features, alpha=config.mnb_alpha)
@@ -493,12 +492,9 @@ def _train_and_score(
             features,
             c_grid=config.svm_c_grid,
             val_fraction=config.svm_val_fraction,
-            seed=subseed(config.seed, "train", name, source),
-            epochs=config.svm_epochs,
+            seed=seed,
         )
-    predict = make_predictor(model, features)
-    return evaluate(predict, test, model_tag=name, train_source=source,
-                    config_fingerprint=fingerprint)
+    return predict(model, transform_corpus(features, test))
 
 
 def _icl_reports(
@@ -554,8 +550,11 @@ def cmd_evaluate(config: ExperimentConfig, synthetic_file: str | Path) -> RunMan
         if name == "icl":
             continue
         with stage(f"train-{name}"):
-            reports.append(_train_and_score(config, name, train, "Original", test, fp))
-            reports.append(_train_and_score(config, name, synthetic, "Synthetic", test, fp))
+            for source, corpus in (("Original", train), ("Synthetic", synthetic)):
+                predictions = _fit_and_predict(config, name, corpus, test,
+                                               subseed(config.seed, "train", name, source))
+                reports.append(evaluate(predictions, test, model_tag=name,
+                                        train_source=source, config_fingerprint=fp))
     if "icl" in config.models:
         _external_data_note(config)
         with stage("icl"):
@@ -596,33 +595,6 @@ def cmd_evaluate(config: ExperimentConfig, synthetic_file: str | Path) -> RunMan
 
 
 # ---------------------------------------------------------------- sweep
-
-def _sweep_accuracy(
-    config: ExperimentConfig,
-    name: str,
-    synthetic: Corpus,
-    test: Corpus,
-    rep_seed: int,
-    client,
-) -> float:
-    if name == "icl":
-        shots = max(config.icl_shots) if config.icl_shots else 4
-        icl_cfg = IclConfig(shots=shots, demo_source="Synthetic",
-                            backend=config.backend,
-                            seed=subseed(rep_seed, "icl", shots, "Synthetic"))
-        rep = icl_evaluate(icl_cfg, synthetic, test, client=client)
-        return rep.accuracy
-    features = fit_tfidf(synthetic)
-    if name == "mnb":
-        model = train_mnb(synthetic, features, alpha=config.mnb_alpha)
-    else:
-        model = train_svm(synthetic, features, c_grid=config.svm_c_grid,
-                          val_fraction=config.svm_val_fraction,
-                          seed=subseed(rep_seed, "train", name, "Synthetic"),
-                          epochs=config.svm_epochs)
-    predict = make_predictor(model, features)
-    return evaluate(predict, test, model_tag=name, train_source="Synthetic").accuracy
-
 
 def cmd_sweep(config: ExperimentConfig) -> RunManifest:
     """Accuracy across the epsilon list, optionally averaged over seeds.
@@ -690,8 +662,19 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
 
             for name in config.models:
                 with stage(f"evaluate-{name}"):
-                    acc = _sweep_accuracy(config, name, synthetic, test, rep_seed, client)
-                accuracies.setdefault((name, requested), []).append(acc)
+                    if name == "icl":
+                        shots = max(config.icl_shots) if config.icl_shots else 4
+                        icl_cfg = IclConfig(shots=shots, demo_source="Synthetic",
+                                            backend=config.backend,
+                                            seed=subseed(rep_seed, "icl", shots, "Synthetic"))
+                        report = icl_evaluate(icl_cfg, synthetic, test, client=client)
+                    else:
+                        predictions = _fit_and_predict(
+                            config, name, synthetic, test,
+                            subseed(rep_seed, "train", name, "Synthetic"))
+                        report = evaluate(predictions, test, model_tag=name,
+                                          train_source="Synthetic")
+                accuracies.setdefault((name, requested), []).append(report.accuracy)
 
     with stage("report"):
         rows = []

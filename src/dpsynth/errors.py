@@ -99,6 +99,10 @@ class DemoCountMismatch(DpSynthError):
     """Demonstration list inconsistent with the configured shot count."""
 
 
+class SolverDidNotConverge(DpSynthError):
+    """An SVM solve reached its step cap before its optimality certificate."""
+
+
 # ---------------------------------------------------------------- audit
 
 class OverlapDetected(DpSynthError):

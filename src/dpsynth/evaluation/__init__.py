@@ -10,7 +10,7 @@ from .mnb import MnbModel, mnb_posterior, mnb_predict, mnb_scores, train_mnb
 from .report import (
     EvalReport,
     evaluate,
-    make_predictor,
+    predict,
     render_icl_table,
     render_model_table,
     render_sweep_table,
@@ -35,11 +35,11 @@ __all__ = [
     "evaluate",
     "fit_tfidf",
     "icl_evaluate",
-    "make_predictor",
     "mnb_posterior",
     "mnb_predict",
     "mnb_scores",
     "parse_label_response",
+    "predict",
     "render_icl_table",
     "render_model_table",
     "render_sweep_table",

@@ -3,9 +3,9 @@
 Builds classification prompts (0, 2, or 4 demonstrations, fixed per run),
 queries a backend once per test record, and parses the first recognizable
 class label out of each response. Responses with no readable label are
-scored incorrect and counted separately. Queries may fan out over a thread
-pool up to the backend's max_concurrent; results are keyed by record index,
-so aggregation is order-independent and deterministic.
+scored incorrect and counted separately. Queries fan out over a thread
+pool of the backend's max_concurrent workers; answers are collected in
+record order, so the report is deterministic.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from ..errors import DemoCountMismatch, EmptyCorpus, MissingClassDemo, UnknownLa
 from ..rngutil import make_rng, subseed
 from ..synth.backends import BackendSpec, make_backend
 from ..synth.prompts import build_classification_prompt
-from .report import EvalReport
+from .report import EvalReport, evaluate
 
 VALID_SHOTS = (0, 2, 4)
 
@@ -127,8 +127,8 @@ def icl_evaluate(
         client = make_backend(config.backend)
     demos = select_icl_demos(config, demo_corpus)
 
-    def ask(index: int) -> tuple[int, ClassLabel | None]:
-        prompt = build_icl_prompt(config, demos, test.records[index])
+    def ask(query: NewsRecord) -> ClassLabel | None:
+        prompt = build_icl_prompt(config, demos, query)
         response = client.complete(
             prompt,
             temperature=_QUERY_TEMPERATURE,
@@ -136,42 +136,16 @@ def icl_evaluate(
             max_tokens=_QUERY_MAX_TOKENS,
             seed=config.seed,
         )
-        return index, parse_label_response(response)
+        return parse_label_response(response)
 
-    n = len(test.records)
-    results: dict[int, ClassLabel | None] = {}
-    if config.backend.max_concurrent > 1:
-        with ThreadPoolExecutor(max_workers=config.backend.max_concurrent) as pool:
-            for index, label in pool.map(ask, range(n)):
-                results[index] = label
-    else:
-        for i in range(n):
-            index, label = ask(i)
-            results[index] = label
-
-    correct = 0
-    unparseable = 0
-    class_total: dict[ClassLabel, int] = {}
-    class_correct: dict[ClassLabel, int] = {}
-    for index, rec in enumerate(test.records):
-        predicted = results[index]
-        class_total[rec.label] = class_total.get(rec.label, 0) + 1
-        if predicted is None:
-            unparseable += 1
-        elif predicted is rec.label:
-            correct += 1
-            class_correct[rec.label] = class_correct.get(rec.label, 0) + 1
-    per_class = {
-        label: class_correct.get(label, 0) / class_total[label]
-        for label in LABELS
-        if label in class_total
-    }
-    return EvalReport(
+    # pool.map yields results in record order whatever order they finish in.
+    with ThreadPoolExecutor(max_workers=config.backend.max_concurrent) as pool:
+        predictions = list(pool.map(ask, test.records))
+    return evaluate(
+        predictions,
+        test,
         model_tag=f"icl-{config.shots}shot",
         train_source=config.demo_source if config.shots else "Original",
-        accuracy=correct / n,
-        per_class_accuracy=per_class,
-        n_test=n,
         config_fingerprint=config_fingerprint,
-        n_unparseable=unparseable,
+        n_unparseable=sum(1 for p in predictions if p is None),
     )

@@ -1,12 +1,23 @@
-"""One-vs-rest linear SVM trained with Pegasos-style subgradient descent.
+"""One-vs-rest linear SVM: the L2-regularised squared hinge, solved by Newton-CG.
 
-Per binary problem the objective is the usual C-parameterized hinge form,
-(1/(2C)) ||w||^2 + sum_i hinge_i, handled in its mean-loss equivalent with
-lambda = 1 / (C n) and learning rate eta_t = 1 / (lambda t). Shuffling is
-seed-deterministic, the weight scale trick keeps updates sparse, and the
-bias rides along as one extra always-on coordinate. Model selection tries
-the C grid on a held-out validation slice (ties prefer the smaller C), then
-refits on the full training set.
+Per class k the primal objective is LIBLINEAR's L2-loss SVM (Fan et al. 2008),
+
+    f_k(w) = 1/2 ||w||^2 + C * sum_i max(0, 1 - y_ik * w . x~_i)^2,
+
+where x~_i is the tf-idf row plus one always-on bias coordinate (so the bias
+is regularised like any other weight) and y_ik is +1 for class k, -1
+otherwise. On the active set I = {i : y_ik * w . x~_i < 1} the gradient is
+w + 2C X~_I^T (X~_I w - y_I) and the generalised Hessian I + 2C X~_I^T X~_I
+(Keerthi & DeCoste 2005). All class columns are solved at once: each Newton
+step runs conjugate gradients on Hessian-vector products X~^T (A * X~ V),
+with A the active-set mask, so X~^T X~ is never formed; a backtracking line
+search then picks each column's step. A solve stops on a certificate: every
+column's gradient norm is at most GRAD_RTOL times its value at w = 0.
+Reaching MAX_NEWTON_STEPS first raises SolverDidNotConverge.
+
+The solve is deterministic; the seed only draws the validation split. Model
+selection tries the C grid on that held-out slice (ties prefer the smaller
+C), then refits on the full training set.
 """
 from __future__ import annotations
 
@@ -16,13 +27,18 @@ import numpy as np
 from scipy import sparse
 
 from ..corpus import LABELS, ClassLabel, Corpus
-from ..errors import EmptyCorpus, SingleClassCorpus
+from ..errors import EmptyCorpus, SingleClassCorpus, SolverDidNotConverge
 from ..rngutil import make_rng, subseed
 from .features import TfIdfModel, transform_corpus
 
 DEFAULT_C_GRID = (0.1, 1.0, 10.0)
 DEFAULT_VAL_FRACTION = 0.30
-DEFAULT_EPOCHS = 10
+
+GRAD_RTOL = 1e-6          # stop when ||grad|| <= GRAD_RTOL * ||grad at w = 0||
+MAX_NEWTON_STEPS = 50
+MAX_CG_STEPS = 200        # per Newton step; an early CG stop is still a descent direction
+_ARMIJO = 0.01            # sufficient-decrease fraction of the line search
+_MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -31,60 +47,84 @@ class SvmModel:
     weights: np.ndarray            # (n_classes, V)
     biases: np.ndarray             # (n_classes,)
     c_value: float
-    epochs: int
-    # Epoch-end objective values per class from the final fit, for sanity
-    # checks on convergence.
-    objective_history: tuple[tuple[float, ...], ...]
+    # ||grad|| / ||grad at w = 0|| per class after the final fit.
+    rel_grad_norm: tuple[float, ...]
 
 
-def _pegasos_binary(X: sparse.csr_matrix, y: np.ndarray, lam: float, epochs: int,
-                    rng: np.random.Generator) -> tuple[np.ndarray, float, list[float]]:
-    """Train one binary hinge classifier; y in {-1, +1}."""
-    n, V = X.shape
-    indptr, indices, data = X.indptr, X.indices, X.data
-    w = np.zeros(V)
-    wb = 0.0          # bias coordinate (constant feature 1)
-    a = 1.0           # lazy scale: effective weights are a * w
-    t = 1             # starts at 2 on first use; the t=1 shrink factor is 0
-    history: list[float] = []
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for i in order:
-            t += 1
-            eta = 1.0 / (lam * t)
-            lo, hi = indptr[i], indptr[i + 1]
-            cols = indices[lo:hi]
-            vals = data[lo:hi]
-            margin = y[i] * (a * (w[cols] @ vals) + a * wb)
-            a *= 1.0 - 1.0 / t
-            if margin < 1.0:
-                step = eta * y[i] / a
-                w[cols] += step * vals
-                wb += step
-            if a < 1e-9:
-                w *= a
-                wb *= a
-                a = 1.0
-        margins = y * (a * (X @ w) + a * wb)
-        hinge = np.maximum(0.0, 1.0 - margins).mean()
-        reg = 0.5 * lam * (a * a) * (w @ w + wb * wb)
-        history.append(float(reg + hinge))
-    return a * w, a * wb, history
+def _objective(W: np.ndarray, Z: np.ndarray, Y: np.ndarray, c_value: float) -> np.ndarray:
+    """f_k for every column k, given the scores Z = X~ W."""
+    slack = np.maximum(0.0, 1.0 - Y * Z)
+    return 0.5 * np.einsum("ij,ij->j", W, W) + c_value * np.einsum("ij,ij->j", slack, slack)
 
 
-def _fit_ovr(X: sparse.csr_matrix, y: np.ndarray, n_classes: int, c_value: float,
-             epochs: int, seed: int) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
-    n, V = X.shape
-    lam = 1.0 / (c_value * n)
-    weights = np.zeros((n_classes, V))
-    biases = np.zeros(n_classes)
-    histories = []
-    for k in range(n_classes):
-        ybin = np.where(y == k, 1.0, -1.0)
-        rng = make_rng(subseed(seed, "svm", repr(c_value), k))
-        weights[k], biases[k], hist = _pegasos_binary(X, ybin, lam, epochs, rng)
-        histories.append(hist)
-    return weights, biases, histories
+def _newton_direction(Xb: sparse.csr_matrix, XbT: sparse.csr_matrix, mask: np.ndarray,
+                      G: np.ndarray, c_value: float, tol: np.ndarray) -> np.ndarray:
+    """Conjugate gradients on (I + 2C X~^T A X~) D = -G, column by column.
+
+    Columns share every matrix product but keep their own CG scalars; a
+    column stops once its residual norm is at most ``tol``.
+    """
+    D = np.zeros_like(G)
+    R = -G
+    P = R.copy()
+    rr = np.einsum("ij,ij->j", R, R)
+    for _ in range(MAX_CG_STEPS):
+        live = rr > tol * tol
+        if not live.any():
+            break
+        HP = P + 2.0 * c_value * (XbT @ (mask * (Xb @ P)))
+        alpha = np.zeros_like(rr)
+        alpha[live] = rr[live] / np.einsum("ij,ij->j", P[:, live], HP[:, live])
+        D += alpha * P
+        R -= alpha * HP
+        rr_next = np.einsum("ij,ij->j", R, R)
+        beta = np.zeros_like(rr)
+        beta[live] = rr_next[live] / rr[live]
+        P = R + beta * P
+        rr = rr_next
+    return D
+
+
+def _fit_ovr(X: sparse.csr_matrix, y: np.ndarray, n_classes: int,
+             c_value: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights (n_classes, V), biases and relative gradient norms per class."""
+    n = X.shape[0]
+    Xb = sparse.hstack([X, np.ones((n, 1))], format="csr")
+    XbT = Xb.T.tocsr()
+    Y = np.where(y[:, None] == np.arange(n_classes), 1.0, -1.0)
+    W = np.zeros((Xb.shape[1], n_classes))
+    Z = np.zeros_like(Y)
+    g0 = None
+    for _ in range(MAX_NEWTON_STEPS + 1):
+        mask = (Y * Z < 1.0).astype(np.float64)
+        G = W + 2.0 * c_value * (XbT @ (mask * (Z - Y)))
+        gnorm = np.linalg.norm(G, axis=0)
+        if g0 is None:
+            g0 = gnorm
+        rel = np.divide(gnorm, g0, out=np.zeros_like(gnorm), where=g0 > 0)
+        todo = rel > GRAD_RTOL
+        if not todo.any():
+            return W[:-1].T.copy(), W[-1].copy(), rel
+        # Converged columns get a zero direction and stay where they are.
+        G = G * todo
+        D = _newton_direction(Xb, XbT, mask, G, c_value,
+                              tol=np.minimum(0.1, np.sqrt(rel)) * gnorm)
+        XD = Xb @ D
+        f0 = _objective(W, Z, Y, c_value)
+        slope = np.einsum("ij,ij->j", G, D)
+        t = np.ones(n_classes)
+        for _ in range(_MAX_HALVINGS):
+            f_t = _objective(W + t * D, Z + t * XD, Y, c_value)
+            short = f_t > f0 + _ARMIJO * t * slope
+            if not short.any():
+                break
+            t[short] *= 0.5
+        W = W + t * D
+        Z = Xb @ W
+    raise SolverDidNotConverge(
+        f"Newton-CG stopped after {MAX_NEWTON_STEPS} steps at C={c_value} with relative "
+        f"gradient norms {rel.tolist()} (tolerance {GRAD_RTOL})"
+    )
 
 
 def _split_validation(y: np.ndarray, n_classes: int, val_fraction: float,
@@ -111,7 +151,6 @@ def train_svm(
     c_grid=DEFAULT_C_GRID,
     val_fraction: float = DEFAULT_VAL_FRACTION,
     seed: int = 0,
-    epochs: int = DEFAULT_EPOCHS,
 ) -> SvmModel:
     """Grid-selected one-vs-rest linear SVM.
 
@@ -143,21 +182,20 @@ def train_svm(
         X_tr, y_tr = X[tr_idx], y[tr_idx]
         X_val, y_val = X[val_idx], y[val_idx]
         for c_value in c_grid:  # ascending, so strict > keeps the smaller C on ties
-            weights, biases, _ = _fit_ovr(X_tr, y_tr, n_classes, c_value, epochs, seed)
+            weights, biases, _ = _fit_ovr(X_tr, y_tr, n_classes, c_value)
             scores = X_val @ weights.T + biases
             acc = float(np.mean(np.argmax(scores, axis=1) == y_val)) if len(y_val) else 0.0
             if acc > best_acc:
                 best_acc = acc
                 best_c = c_value
 
-    weights, biases, histories = _fit_ovr(X, y, n_classes, best_c, epochs, seed)
+    weights, biases, rel = _fit_ovr(X, y, n_classes, best_c)
     return SvmModel(
         classes=classes,
         weights=weights,
         biases=biases,
         c_value=best_c,
-        epochs=epochs,
-        objective_history=tuple(tuple(h) for h in histories),
+        rel_grad_norm=tuple(float(r) for r in rel),
     )
 
 

@@ -44,7 +44,7 @@ from dpsynth.dp import (
 from dpsynth.evaluation import (
     evaluate,
     fit_tfidf,
-    make_predictor,
+    predict,
     mnb_posterior,
     mnb_predict,
     train_mnb,
@@ -114,7 +114,7 @@ def test_mnb_accuracy_on_real_news(announce, agnews_split):
     train, test = agnews_split
     features = fit_tfidf(train)
     model = train_mnb(train, features)
-    report = evaluate(make_predictor(model, features), test, model_tag="mnb")
+    report = evaluate(predict(model, transform_corpus(features, test)), test, model_tag="mnb")
     elapsed = time.perf_counter() - t0
     ok = abs(report.accuracy - 0.8073) <= 0.04 and elapsed < 120.0
     announce(
@@ -132,7 +132,7 @@ def test_svm_accuracy_on_real_news(announce, agnews_split):
     train, test = agnews_split
     features = fit_tfidf(train)
     model = train_svm(train, features, seed=42)
-    report = evaluate(make_predictor(model, features), test, model_tag="svm")
+    report = evaluate(predict(model, transform_corpus(features, test)), test, model_tag="svm")
     elapsed = time.perf_counter() - t0
     ok = report.accuracy >= 0.82 and elapsed < 900.0
     announce(

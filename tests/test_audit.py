@@ -2,6 +2,8 @@
 and leakage comparison."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -143,7 +145,7 @@ class TestCollectConfidences:
         members = mock_original_corpus(4, seed=5)
         nonmembers = mock_original_corpus(4, seed=6)
         features = fit_tfidf(members)
-        model = train_svm(members, features, c_grid=(1.0,), epochs=3)
+        model = train_svm(members, features, c_grid=(1.0,))
         m, n = collect_confidences(model, features, members, nonmembers)
         for record in m + n:
             assert 0.0 <= record.confidence <= 1.0
@@ -152,15 +154,9 @@ class TestCollectConfidences:
         members = mock_original_corpus(2, seed=7)
         nonmembers = mock_original_corpus(2, seed=8)
         features = fit_tfidf(members)
-        model = train_svm(members, features, c_grid=(1.0,), epochs=3)
-        flat = type(model)(
-            classes=model.classes,
-            weights=np.zeros_like(model.weights),
-            biases=np.zeros_like(model.biases),
-            c_value=model.c_value,
-            epochs=model.epochs,
-            objective_history=model.objective_history,
-        )
+        model = train_svm(members, features, c_grid=(1.0,))
+        flat = dataclasses.replace(model, weights=np.zeros_like(model.weights),
+                                   biases=np.zeros_like(model.biases))
         m, n = collect_confidences(flat, features, members, nonmembers)
         for record in m + n:
             assert record.confidence == pytest.approx(0.25)

@@ -120,6 +120,11 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="typo_field"):
             load_config(str(path), {})
 
+    def test_removed_svm_epochs_key_is_rejected(self, tmp_path):
+        path = write_config(tmp_path, svm_epochs=10)
+        with pytest.raises(ValueError, match="unknown config key.*svm_epochs"):
+            load_config(str(path), {})
+
     def test_gen_seed_cannot_be_set_directly(self, tmp_path):
         path = write_config(tmp_path, gen={"total_records": 16, "seed": 9})
         with pytest.raises(ValueError, match="derived from the experiment seed"):
@@ -153,19 +158,42 @@ class TestStage:
 
 
 def test_cli_import_leaves_scipy_stats_and_special_unloaded():
-    # Every command pays for what dpsynth.cli imports at start-up.
+    # Every command pays for what dpsynth.cli imports at start-up; none of
+    # these heavy scipy packages is needed by any command.
     import dpsynth
 
     src = str(Path(dpsynth.__file__).resolve().parents[1])
+    heavy = ("scipy.stats", "scipy.special", "scipy.optimize", "scipy.linalg",
+             "scipy.sparse.linalg")
     code = (
         "import sys, dpsynth.cli\n"
+        f"heavy = {heavy!r}\n"
         "print(sorted(m for m in sys.modules"
-        " if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'special'])))"
+        " if any(m == h or m.startswith(h + '.') for h in heavy)))"
     )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracer.py replaces functions at the names their callers look
+    # up; renaming or dropping one of those names breaks traced benchmark runs.
+    import dpsynth
+
+    src = Path(dpsynth.__file__).resolve().parents[1]
+    perfbench = src.parent / "perfbench"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "import tracer\n"
+        "tracer.install(tracer.Tracer())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
 
 
 # ---------------------------------------------------------------- generate

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from dpsynth.corpus import LABELS, ClassLabel, Corpus, Origin, Split
-from dpsynth.errors import DemoCountMismatch, EmptyCorpus, MissingClassDemo, SingleClassCorpus
+from dpsynth.errors import (
+    DemoCountMismatch,
+    EmptyCorpus,
+    MissingClassDemo,
+    SingleClassCorpus,
+    SolverDidNotConverge,
+)
+from dpsynth.evaluation import svm as svm_module
 from dpsynth.evaluation import (
     EvalReport,
     IclConfig,
@@ -17,11 +24,11 @@ from dpsynth.evaluation import (
     evaluate,
     fit_tfidf,
     icl_evaluate,
-    make_predictor,
     mnb_posterior,
     mnb_predict,
     mnb_scores,
     parse_label_response,
+    predict,
     render_icl_table,
     render_model_table,
     render_sweep_table,
@@ -196,24 +203,65 @@ class TestSvm:
         assert preds == [r.label for r in corpus.records]
         assert svm_margins(model, transform_corpus(features, corpus)).shape == (48, 4)
 
-    def test_determinism_in_seed(self):
+    def test_determinism_in_seed(self, monkeypatch):
         corpus = separable_corpus(6)
         features = fit_tfidf(corpus)
         a = train_svm(corpus, features, seed=5)
         b = train_svm(corpus, features, seed=5)
-        assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.biases, b.biases)
-        c = train_svm(corpus, features, seed=6)
-        assert not np.array_equal(a.weights, c.weights)
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.biases.tobytes() == b.biases.tobytes()
 
-    def test_objective_history_settles(self):
-        corpus = separable_corpus()
+        # The seed draws the validation split, which the grid fits train on.
+        fitted_rows = []
+        fit = svm_module._fit_ovr
+
+        def spy(X, y, n_classes, c_value):
+            fitted_rows.append(X.toarray())
+            return fit(X, y, n_classes, c_value)
+
+        monkeypatch.setattr(svm_module, "_fit_ovr", spy)
+        train_svm(corpus, features, seed=5)
+        train_svm(corpus, features, seed=6)
+        assert len(fitted_rows) == 8  # three grid fits and one refit per call
+        assert not np.array_equal(fitted_rows[0], fitted_rows[4])
+        assert np.array_equal(fitted_rows[3], fitted_rows[7])  # refit on everything
+
+    @pytest.mark.parametrize("c_value", [0.1, 1.0, 10.0])
+    def test_solution_meets_optimality_certificate(self, c_value):
+        # Separable records plus some over shared words, so at C >= 1 some
+        # records sit outside the margin and others inside it.
+        rng = make_rng(subseed(17, "svm-certificate"))
+        noise = balanced_corpus(3, ["war", "goal", "stock", "chip", "w1", "w2"], rng)
+        corpus = corp(*separable_corpus(6).records, *noise.records)
         features = fit_tfidf(corpus)
-        model = train_svm(corpus, features, seed=1, epochs=12)
-        for hist in model.objective_history:
-            assert len(hist) == 12
-            assert all(np.isfinite(v) and v >= 0 for v in hist)
-            assert hist[-1] <= hist[0]
+        model = train_svm(corpus, features, c_grid=(c_value,))
+        X = np.hstack([transform_corpus(features, corpus).toarray(),
+                       np.ones((len(corpus.records), 1))])
+        for k, label in enumerate(model.classes):
+            y = np.array([1.0 if r.label is label else -1.0 for r in corpus.records])
+            w = np.append(model.weights[k], model.biases[k])
+            # gradient of 1/2 |w|^2 + C sum max(0, 1 - y x.w)^2, written out
+            slack = np.maximum(0.0, 1.0 - y * (X @ w))
+            grad = w - 2.0 * c_value * X.T @ (y * slack)
+            grad_at_zero = -2.0 * c_value * X.T @ y
+            rel = np.linalg.norm(grad) / np.linalg.norm(grad_at_zero)
+            assert rel <= svm_module.GRAD_RTOL <= 1e-6
+            assert model.rel_grad_norm[k] == pytest.approx(rel, rel=1e-6, abs=1e-12)
+
+            # On its active set the objective is a quadratic with a closed-form
+            # minimiser; its Hessian is at least I, so |w - w*| <= |grad|.
+            active = slack > 0
+            assert active.any() and (c_value < 1 or not active.all())
+            Xa = X[active]
+            hessian = np.eye(X.shape[1]) + 2.0 * c_value * Xa.T @ Xa
+            w_star = np.linalg.solve(hessian, 2.0 * c_value * Xa.T @ y[active])
+            assert np.linalg.norm(w - w_star) <= np.linalg.norm(grad) + 1e-12
+
+    def test_step_cap_raises(self, monkeypatch):
+        corpus = separable_corpus(4)
+        monkeypatch.setattr(svm_module, "MAX_NEWTON_STEPS", 1)
+        with pytest.raises(SolverDidNotConverge):
+            train_svm(corpus, fit_tfidf(corpus), c_grid=(1.0,))
 
     def test_validation_tie_keeps_smallest_c(self):
         # trivially separable: every C reaches the same validation accuracy
@@ -395,30 +443,35 @@ class TestIclEvaluate:
 class TestReports:
     def test_evaluate_counts_exactly(self):
         test = corp(rec("a1", "b", W), rec("a2", "b", W), rec("a3", "b", S))
-        report = evaluate(lambda r: W, test, model_tag="const")
+        report = evaluate([W, W, W], test, model_tag="const")
         assert report.accuracy == pytest.approx(2 / 3)
         assert report.per_class_accuracy == {W: 1.0, S: 0.0}
         assert report.n_test == 3
 
     def test_none_predictions_count_as_wrong(self):
         test = corp(rec("a1", "b", W), rec("a2", "b", S))
-        report = evaluate(lambda r: None, test)
+        report = evaluate([None, None], test)
         assert report.accuracy == 0.0
 
     def test_empty_test_rejected(self):
         with pytest.raises(EmptyCorpus):
-            evaluate(lambda r: W, corp())
+            evaluate([], corp())
 
-    def test_make_predictor_dispatch(self):
+    def test_prediction_count_must_match_test(self):
+        with pytest.raises(ValueError):
+            evaluate([W], corp(rec("a1", "b", W), rec("a2", "b", S)))
+
+    def test_predict_dispatch(self):
         corpus = separable_corpus(4)
         features = fit_tfidf(corpus)
+        X = transform_corpus(features, corpus)
         mnb = train_mnb(corpus, features)
-        svm = train_svm(corpus, features, c_grid=(1.0,), epochs=3)
-        for model in (mnb, svm):
-            predict = make_predictor(model, features)
-            assert predict(corpus.records[0]) in LABELS
+        svm = train_svm(corpus, features, c_grid=(1.0,))
+        assert predict(mnb, X) == mnb_predict(mnb, X)
+        assert predict(svm, X) == svm_predict(svm, X)
+        assert predict(svm, X) == [r.label for r in corpus.records]
         with pytest.raises(TypeError):
-            make_predictor(object(), features)
+            predict(object(), X)
 
     def report(self, tag, source, acc, unparseable=0):
         return EvalReport(
