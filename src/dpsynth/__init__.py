@@ -10,7 +10,6 @@ removes.
 __version__ = "0.1.0"
 
 from .audit import (
-    ConfidenceRecord,
     LeakageReport,
     MiaResult,
     collect_confidences,
@@ -32,7 +31,6 @@ from .corpus import (
     histogram_from_json,
     load_agnews,
     normalize_label,
-    record_tokens,
     sample_split,
     save_jsonl,
     tokenize,
@@ -68,7 +66,6 @@ __all__ = [
     "BackendSpec",
     "BudgetLedger",
     "ClassLabel",
-    "ConfidenceRecord",
     "Corpus",
     "CorpusFormat",
     "DEFAULT_SENSITIVITY",
@@ -104,7 +101,6 @@ __all__ = [
     "normalize_label",
     "perturb_histogram",
     "reconcile_corpus",
-    "record_tokens",
     "run_generation",
     "sample_gaussian",
     "sample_laplace",

@@ -13,25 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ClassLabel, Corpus
+from .corpus import Corpus
 from .errors import OverlapDetected, SingleClassInput
 from .evaluation.features import TfIdfModel, transform_corpus
 from .evaluation.mnb import MnbModel, mnb_posterior
 from .evaluation.svm import SvmModel, svm_margins
 from .rngutil import sub_rng
-
-
-@dataclass(frozen=True)
-class ConfidenceRecord:
-    """One record's confidence in its true label, tagged by membership."""
-
-    confidence: float
-    label: ClassLabel
-    is_member: bool
-
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
 
 
 @dataclass(frozen=True)
@@ -68,14 +55,13 @@ class LeakageReport:
         }
 
 
-def _true_label_confidences(model, features: TfIdfModel, corpus: Corpus) -> np.ndarray:
-    """Probability mass each model assigns to every record's true label.
+def _true_label_confidences(model, X, labels) -> np.ndarray:
+    """Probability mass the model assigns to each row's true label.
 
     MNB exposes a posterior directly. SVM margins are squashed through a
     sigmoid and normalized across classes so a zero-weight model yields a
     flat 0.25 everywhere. Labels the model never saw get confidence 0.
     """
-    X = transform_corpus(features, corpus)
     if isinstance(model, MnbModel):
         probs = mnb_posterior(model, X)
     elif isinstance(model, SvmModel):
@@ -84,11 +70,8 @@ def _true_label_confidences(model, features: TfIdfModel, corpus: Corpus) -> np.n
     else:
         raise TypeError(f"no confidence rule for model type {type(model).__name__}")
     column = {label: j for j, label in enumerate(model.classes)}
-    out = np.zeros(len(corpus.records))
-    for i, rec in enumerate(corpus.records):
-        j = column.get(rec.label)
-        if j is not None:
-            out[i] = probs[i, j]
+    cols = np.array([column.get(label, -1) for label in labels], dtype=np.int64)
+    out = np.where(cols >= 0, probs[np.arange(len(cols)), cols], 0.0)
     # guard against sigmoid round-off nudging past 1
     return np.clip(out, 0.0, 1.0)
 
@@ -112,13 +95,14 @@ def collect_confidences(
     members: Corpus,
     nonmembers: Corpus,
     seed: int = 0,
-) -> tuple[list[ConfidenceRecord], list[ConfidenceRecord]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Balanced member/non-member confidence samples for one model.
 
     Exact (title, description) collisions across the two corpora would make
     membership ill-defined, so they abort the audit. The larger side is
     down-sampled (seed-deterministic, ingestion order preserved) so both
-    sides contribute equally to the attack.
+    sides contribute equally to the attack. Each corpus is featurized whole
+    and the kept rows are selected from its matrix.
     """
     member_keys = {(r.title, r.description) for r in members.records}
     clash = [
@@ -133,39 +117,18 @@ def collect_confidences(
     rng = sub_rng(seed, "mia-balance")
     size = min(len(members.records), len(nonmembers.records))
 
-    def pick(corpus: Corpus) -> list:
-        recs = corpus.records
-        if len(recs) == size:
-            return list(recs)
-        keep = sorted(rng.choice(len(recs), size=size, replace=False).tolist())
-        return [recs[i] for i in keep]
+    def confidences(corpus: Corpus) -> np.ndarray:
+        keep = np.arange(len(corpus.records))
+        if len(keep) > size:
+            keep = np.sort(rng.choice(len(keep), size=size, replace=False))
+        X = transform_corpus(features, corpus)[keep]
+        return _true_label_confidences(model, X, [corpus.records[i].label for i in keep])
 
-    member_recs = pick(members)
-    nonmember_recs = pick(nonmembers)
-
-    def score(recs: list, is_member: bool) -> list[ConfidenceRecord]:
-        sub = Corpus(records=tuple(recs), split=members.split)
-        conf = _true_label_confidences(model, features, sub)
-        return [
-            ConfidenceRecord(confidence=float(c), label=r.label, is_member=is_member)
-            for r, c in zip(recs, conf)
-        ]
-
-    return score(member_recs, True), score(nonmember_recs, False)
-
-
-def _values(side) -> list[float]:
-    out = []
-    for item in side:
-        if isinstance(item, ConfidenceRecord):
-            out.append(item.confidence)
-        else:
-            out.append(float(item))
-    return out
+    return confidences(members), confidences(nonmembers)
 
 
 def threshold_attack(members, nonmembers) -> MiaResult:
-    """Best threshold attacker over the observed confidence values.
+    """Best threshold attacker over two arrays of confidences.
 
     Every distinct confidence is tried as a threshold (guess member when
     confidence >= threshold); one sort per side gives every threshold's TPR
@@ -173,8 +136,8 @@ def threshold_attack(members, nonmembers) -> MiaResult:
     advantage resolve to the smallest threshold. AUC is the Mann-Whitney
     statistic computed from midranks, so heavy ties are handled exactly.
     """
-    member_conf = np.asarray(_values(members))
-    nonmember_conf = np.asarray(_values(nonmembers))
+    member_conf = np.asarray(members, dtype=np.float64)
+    nonmember_conf = np.asarray(nonmembers, dtype=np.float64)
     if member_conf.size == 0 or nonmember_conf.size == 0:
         raise SingleClassInput("need at least one member and one non-member confidence")
 

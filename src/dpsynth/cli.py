@@ -675,6 +675,7 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
                         report = evaluate(predictions, test, model_tag=name,
                                           train_source="Synthetic")
                 accuracies.setdefault((name, requested), []).append(report.accuracy)
+            del synthetic  # with its cached count matrix, before the next release
 
     with stage("report"):
         rows = []

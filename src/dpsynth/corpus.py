@@ -11,10 +11,16 @@ from __future__ import annotations
 import csv
 import json
 import re
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import count
 from pathlib import Path
+
+import numpy as np
+from scipy import sparse
 
 from .errors import (
     EmptyCorpus,
@@ -118,7 +124,10 @@ class NewsRecord:
 
 @dataclass(frozen=True)
 class Corpus:
-    """An ordered, immutable collection of records with a split tag."""
+    """An ordered, immutable collection of records with a split tag.
+
+    ``token_counts`` is cached on the instance, not a field, so equality and
+    ``dataclasses.replace`` see only the records and the split."""
 
     records: tuple[NewsRecord, ...]
     split: Split = Split.UNSPLIT
@@ -137,6 +146,11 @@ class Corpus:
 
     def by_class(self, label: ClassLabel) -> tuple[NewsRecord, ...]:
         return tuple(r for r in self.records if r.label is label)
+
+    @cached_property
+    def token_counts(self) -> TokenCounts:
+        """The record x token count matrix, built on first use and kept."""
+        return count_tokens(self.records)
 
 
 # ---------------------------------------------------------------- loading
@@ -281,7 +295,9 @@ def sample_split(corpus: Corpus, n_train: int, n_test: int, seed: int) -> tuple[
 
 # ---------------------------------------------------------------- tokens
 
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# Whole alphanumeric runs of length >= 2: a shorter run never matches and a
+# longer one is never matched in part, so no filtering pass is needed.
+_TOKEN_RE = re.compile(r"[^\W_]{2,}", re.UNICODE)
 
 
 def tokenize(text: str) -> list[str]:
@@ -290,19 +306,54 @@ def tokenize(text: str) -> list[str]:
     Idempotent on its own space-joined output, which is what lets corpus
     reconciliation re-render edited records without disturbing counts.
     """
-    return [t for t in _TOKEN_RE.findall(text.lower()) if len(t) >= 2]
+    return _TOKEN_RE.findall(text.lower())
 
 
-def record_tokens(record: NewsRecord) -> list[str]:
-    return tokenize(record.title) + tokenize(record.description)
+@dataclass(frozen=True)
+class TokenCounts:
+    """Records x tokens CSR matrix of int32 counts with sorted column indices.
+
+    Column j counts ``tokens[j]``; the tokens are the corpus's own, sorted
+    lexicographically."""
+
+    tokens: tuple[str, ...]
+    matrix: sparse.csr_matrix
+
+    def class_totals(self, records: tuple[NewsRecord, ...]) -> np.ndarray:
+        """Occurrence totals per class of the counted ``records``: one row per
+        label in LABELS order, one column per token."""
+        row_of = {label: k for k, label in enumerate(LABELS)}
+        classes = np.array([row_of[rec.label] for rec in records], dtype=np.intp)
+        rows = np.repeat(classes, np.diff(self.matrix.indptr))
+        totals = np.zeros((len(LABELS), len(self.tokens)), dtype=np.int64)
+        np.add.at(totals, (rows, self.matrix.indices), self.matrix.data)
+        return totals
 
 
-def class_token_counts(corpus: Corpus) -> dict[ClassLabel, Counter]:
-    """Exact per-class token counts over title + description."""
-    counts: dict[ClassLabel, Counter] = {label: Counter() for label in LABELS}
-    for rec in corpus.records:
-        counts[rec.label].update(record_tokens(rec))
-    return counts
+def count_tokens(records: tuple[NewsRecord, ...]) -> TokenCounts:
+    """Tokenize every title and description once and count per record.
+
+    Each record's distinct tokens are stored in lexicographic order under ids
+    given out in order of first sight; renumbering the ids by rank at the end
+    makes the columns lexicographic and leaves every row sorted."""
+    ids = defaultdict(count().__next__)
+    cols, data, indptr = array("i"), array("i"), array("q", [0])
+    for rec in records:
+        counts = Counter(tokenize(rec.title) + tokenize(rec.description))
+        distinct = sorted(counts)
+        cols.extend(map(ids.__getitem__, distinct))
+        data.extend(map(counts.__getitem__, distinct))
+        indptr.append(len(cols))
+
+    tokens = tuple(sorted(ids))
+    rank = np.empty(len(tokens), dtype=np.int32)
+    rank[[ids[t] for t in tokens]] = np.arange(len(tokens), dtype=np.int32)
+    matrix = sparse.csr_matrix(
+        (np.frombuffer(data, dtype=np.int32), rank[np.frombuffer(cols, dtype=np.int32)],
+         np.frombuffer(indptr, dtype=np.int64)),
+        shape=(len(records), len(tokens)),
+    )
+    return TokenCounts(tokens=tokens, matrix=matrix)
 
 
 def histogram_fingerprint(vocab_limit: int) -> str:
@@ -358,9 +409,14 @@ def build_histogram(corpus: Corpus, vocab_limit: int = 500) -> TokenHistogram:
         raise EmptyCorpus("cannot build a histogram from an empty corpus")
     if vocab_limit < 1:
         raise ValueError("vocab_limit must be >= 1")
-    counts = class_token_counts(corpus)
+    # Counted like ``token_counts`` but not kept: nothing else reads a raw
+    # corpus's counts, and the raw corpus stays alive through every release.
+    counts = count_tokens(corpus.records)
+    tokens = counts.tokens
     per_class: dict[ClassLabel, dict[str, int]] = {}
-    for label in LABELS:
-        ranked = sorted(counts[label].items(), key=lambda kv: (-kv[1], kv[0]))
-        per_class[label] = dict(ranked[:vocab_limit])
+    for label, totals in zip(LABELS, counts.class_totals(corpus.records)):
+        seen = np.flatnonzero(totals)
+        # Columns are lexicographic, so ties on count go to the smaller column.
+        ranked = sorted(zip((-totals[seen]).tolist(), seen.tolist()))[:vocab_limit]
+        per_class[label] = {tokens[j]: -negative for negative, j in ranked}
     return TokenHistogram(per_class=per_class, vocab_limit=vocab_limit)

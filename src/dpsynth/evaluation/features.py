@@ -3,17 +3,19 @@
 idf(t) = ln((1 + N) / (1 + df(t))) + 1 over the training documents, feature
 value = raw count * idf, rows L2-normalized. The vocabulary comes from the
 training corpus only, columns ordered lexicographically; unknown tokens map
-to nothing, so an all-unknown record becomes the zero vector.
+to nothing, so an all-unknown record becomes the zero vector. Both the fit
+and the transform read a corpus's cached token-count matrix
+(``Corpus.token_counts``), so a corpus is tokenized once however many models
+or splits use it.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from ..corpus import Corpus, NewsRecord, record_tokens
+from ..corpus import Corpus, NewsRecord
 from ..errors import EmptyCorpus
 
 
@@ -33,54 +35,31 @@ def fit_tfidf(train: Corpus) -> TfIdfModel:
     if not train.records:
         raise EmptyCorpus("cannot fit TF-IDF on an empty corpus")
     n_docs = len(train.records)
-    df: Counter = Counter()
-    for rec in train.records:
-        df.update(set(record_tokens(rec)))
-    vocabulary = {token: j for j, token in enumerate(sorted(df))}
-    idf = np.empty(len(vocabulary), dtype=np.float64)
-    for token, j in vocabulary.items():
-        idf[j] = np.log((1.0 + n_docs) / (1.0 + df[token])) + 1.0
+    counts = train.token_counts
+    # One stored entry per (document, token): its column's entry count is df.
+    df = np.bincount(counts.matrix.indices, minlength=len(counts.tokens))
+    idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
+    vocabulary = {token: j for j, token in enumerate(counts.tokens)}
     return TfIdfModel(vocabulary=vocabulary, idf=idf, doc_count=n_docs)
-
-
-def _row_entries(model: TfIdfModel, record: NewsRecord) -> tuple[list[int], list[float]]:
-    counts = Counter(record_tokens(record))
-    cols: list[int] = []
-    vals: list[float] = []
-    for token, count in counts.items():
-        j = model.vocabulary.get(token)
-        if j is not None:
-            cols.append(j)
-            vals.append(count * model.idf[j])
-    if vals:
-        norm = float(np.sqrt(np.dot(vals, vals)))
-        if norm > 0:
-            vals = [v / norm for v in vals]
-    return cols, vals
 
 
 def transform(model: TfIdfModel, record: NewsRecord) -> sparse.csr_matrix:
     """One record to a 1 x V L2-normalized tf-idf row."""
-    cols, vals = _row_entries(model, record)
-    return sparse.csr_matrix(
-        (vals, (np.zeros(len(cols), dtype=np.int64), cols)),
-        shape=(1, model.n_features),
-        dtype=np.float64,
-    )
+    return transform_corpus(model, Corpus((record,)))
+
 
 def transform_corpus(model: TfIdfModel, corpus: Corpus) -> sparse.csr_matrix:
     """All records to an n x V CSR matrix (row order = record order)."""
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for rec in corpus.records:
-        cols, vals = _row_entries(model, rec)
-        order = np.argsort(cols) if cols else []
-        indices.extend(cols[k] for k in order)
-        data.extend(vals[k] for k in order)
-        indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64),
-         np.asarray(indptr, dtype=np.int64)),
-        shape=(len(corpus.records), model.n_features),
-    )
+    counts, n = corpus.token_counts.matrix, len(corpus.records)
+    to_model = np.array([model.vocabulary.get(t, -1) for t in corpus.token_counts.tokens],
+                        dtype=np.int64)
+    # Both column orders are lexicographic, so every row stays sorted.
+    cols = to_model[counts.indices]
+    known = cols >= 0
+    cols = cols[known]
+    rows = np.repeat(np.arange(n), np.diff(counts.indptr))[known]
+    vals = counts.data[known] * model.idf[cols]
+    # Per-row sums of squares, accumulated in column order.
+    vals /= np.sqrt(np.bincount(rows, weights=vals * vals, minlength=n))[rows]
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    return sparse.csr_matrix((vals, cols, indptr), shape=(n, model.n_features))

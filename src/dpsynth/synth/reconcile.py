@@ -28,6 +28,8 @@ generator therefore reproduces the edit sequence exactly.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from ..corpus import (
@@ -135,7 +137,7 @@ def reconcile_corpus(
             )
         )
     result = Corpus(tuple(records), synthetic.split)
-
+    del titles, descs  # freed before the recount, which tokenizes the result afresh
     _verify_counts(result, target)
     return result
 
@@ -163,16 +165,17 @@ def _merge(title: list, desc: list, new: list, rng: np.random.Generator):
 
 
 def count_vocab_tokens(corpus: Corpus, target: NoisyHistogram | TokenHistogram) -> dict:
-    """Exact per-class counts of the target-vocabulary tokens in ``corpus``."""
+    """Exact per-class counts of the target-vocabulary tokens in ``corpus``.
+
+    Read from the corpus's count matrix, built from the rendered records and
+    never from reconciliation's working state (later models reuse it)."""
+    tokens = corpus.token_counts.tokens
     out = {}
-    for label in LABELS:
-        vocab = set(target.per_class.get(label, {}))
-        counts = {t: 0 for t in vocab}
-        for rec in corpus.by_class(label):
-            for tok in tokenize(rec.title) + tokenize(rec.description):
-                if tok in vocab:
-                    counts[tok] += 1
-        out[label] = counts
+    for label, totals in zip(LABELS, corpus.token_counts.class_totals(corpus.records)):
+        out[label] = {}
+        for t in target.per_class.get(label, {}):
+            j = bisect_left(tokens, t)  # the columns are sorted
+            out[label][t] = int(totals[j]) if tokens[j:j + 1] == (t,) else 0
     return out
 
 

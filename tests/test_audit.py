@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from dpsynth.audit import (
-    ConfidenceRecord,
     LeakageReport,
     MiaResult,
     _average_ranks,
@@ -19,7 +18,7 @@ from dpsynth.audit import (
 )
 from dpsynth.corpus import ClassLabel, Corpus, Origin, Split
 from dpsynth.errors import OverlapDetected, SingleClassInput
-from dpsynth.evaluation import fit_tfidf, train_mnb, train_svm
+from dpsynth.evaluation import fit_tfidf, mnb_posterior, train_mnb, train_svm, transform_corpus
 from dpsynth.rngutil import make_rng, subseed
 from dpsynth.synth.mock import mock_original_corpus
 
@@ -55,11 +54,6 @@ class TestThresholdAttack:
         assert result.advantage == pytest.approx(0.5)
         assert result.best_threshold == pytest.approx(0.4)
 
-    def test_accepts_confidence_records(self):
-        members = [ConfidenceRecord(0.9, W, True), ConfidenceRecord(0.6, S, True)]
-        nonmembers = [ConfidenceRecord(0.7, W, False), ConfidenceRecord(0.2, S, False)]
-        assert threshold_attack(members, nonmembers).advantage == pytest.approx(0.5)
-
     def test_empty_side_rejected(self):
         with pytest.raises(SingleClassInput):
             threshold_attack([], [0.5])
@@ -84,16 +78,6 @@ class TestThresholdAttack:
         assert set(obj) == {"advantage", "auc", "best_threshold", "n_members", "n_nonmembers"}
 
 
-class TestConfidenceRecord:
-    def test_range_validation(self):
-        ConfidenceRecord(0.0, W, True)
-        ConfidenceRecord(1.0, W, False)
-        with pytest.raises(ValueError):
-            ConfidenceRecord(-0.01, W, True)
-        with pytest.raises(ValueError):
-            ConfidenceRecord(1.01, W, True)
-
-
 class TestCollectConfidences:
     def fitted_mnb(self, corpus):
         features = fit_tfidf(corpus)
@@ -112,8 +96,37 @@ class TestCollectConfidences:
         model, features = self.fitted_mnb(members)
         m, n = collect_confidences(model, features, members, nonmembers, seed=5)
         assert len(m) == len(n) == 12
-        assert all(r.is_member for r in m)
-        assert not any(r.is_member for r in n)
+        # the non-member side is not down-sampled: its values are its full scores
+        n_all, _ = collect_confidences(model, features, nonmembers, members, seed=5)
+        assert np.array_equal(n, n_all)
+
+    def test_returns_balanced_float_arrays(self):
+        for sizes in ((8, 3), (3, 8), (5, 5)):
+            members = mock_original_corpus(sizes[0], seed=1)
+            nonmembers = mock_original_corpus(sizes[1], seed=2)
+            model, features = self.fitted_mnb(members)
+            m, n = collect_confidences(model, features, members, nonmembers, seed=5)
+            size = 4 * min(sizes)
+            for side in (m, n):
+                assert isinstance(side, np.ndarray)
+                assert side.dtype == np.float64 and side.shape == (size,)
+            result = threshold_attack(m, n)
+            assert result.n_members == result.n_nonmembers == size
+
+    def test_confidences_lie_in_unit_interval(self):
+        members = mock_original_corpus(4, seed=5)
+        nonmembers = mock_original_corpus(3, seed=6)
+        features = fit_tfidf(members)
+        svm = train_svm(members, features, c_grid=(1.0,))
+        models = [train_mnb(members, features)]
+        # huge margins push the sigmoid to exactly 0 and 1
+        models += [dataclasses.replace(svm, weights=svm.weights * scale,
+                                       biases=svm.biases * scale)
+                   for scale in (0.0, 1.0, 1e3, 1e6)]
+        for model in models:
+            m, n = collect_confidences(model, features, members, nonmembers)
+            both = np.concatenate([m, n])
+            assert np.all((both >= 0.0) & (both <= 1.0))
 
     def test_downsampling_keeps_ingestion_order_and_is_deterministic(self):
         members = mock_original_corpus(8, seed=1)
@@ -121,25 +134,26 @@ class TestCollectConfidences:
         model, features = self.fitted_mnb(members)
         m1, _ = collect_confidences(model, features, members, nonmembers, seed=5)
         m2, _ = collect_confidences(model, features, members, nonmembers, seed=5)
-        assert [r.confidence for r in m1] == [r.confidence for r in m2]
+        assert np.array_equal(m1, m2)
         m3, _ = collect_confidences(model, features, members, nonmembers, seed=6)
-        assert [r.confidence for r in m1] != [r.confidence for r in m3]
-        # order: member labels follow the corpus interleaving subsequence
-        labels = [r.label for r in m1]
-        source = [r.label for r in members.records]
-        it = iter(source)
-        assert all(any(lab is x for x in it) for lab in labels)
+        assert not np.array_equal(m1, m3)
+        # order: the kept confidences are a subsequence of every member's
+        # confidence in corpus order
+        posterior = mnb_posterior(model, transform_corpus(features, members))
+        full = [posterior[i, model.classes.index(r.label)]
+                for i, r in enumerate(members.records)]
+        it = iter(full)
+        assert all(any(c == x for x in it) for c in m1.tolist())
 
     def test_mnb_confidence_is_true_label_posterior(self):
         members = mock_original_corpus(4, seed=3)
         nonmembers = mock_original_corpus(4, seed=4)
         model, features = self.fitted_mnb(members)
         m, n = collect_confidences(model, features, members, nonmembers)
-        for record in m + n:
-            assert 0.0 <= record.confidence <= 1.0
+        assert np.all((m >= 0.0) & (m <= 1.0)) and np.all((n >= 0.0) & (n <= 1.0))
         # members are trained on, so their own-label posterior should beat
         # the uniform floor on average
-        assert float(np.mean([r.confidence for r in m])) > 0.25
+        assert float(np.mean(m)) > 0.25
 
     def test_svm_confidences_in_range(self):
         members = mock_original_corpus(4, seed=5)
@@ -147,8 +161,7 @@ class TestCollectConfidences:
         features = fit_tfidf(members)
         model = train_svm(members, features, c_grid=(1.0,))
         m, n = collect_confidences(model, features, members, nonmembers)
-        for record in m + n:
-            assert 0.0 <= record.confidence <= 1.0
+        assert np.all((m >= 0.0) & (m <= 1.0)) and np.all((n >= 0.0) & (n <= 1.0))
 
     def test_zero_weight_svm_gives_uniform_confidence(self):
         members = mock_original_corpus(2, seed=7)
@@ -158,8 +171,7 @@ class TestCollectConfidences:
         flat = dataclasses.replace(model, weights=np.zeros_like(model.weights),
                                    biases=np.zeros_like(model.biases))
         m, n = collect_confidences(flat, features, members, nonmembers)
-        for record in m + n:
-            assert record.confidence == pytest.approx(0.25)
+        assert np.allclose(np.concatenate([m, n]), 0.25)
 
     def test_missing_class_scores_zero(self):
         # model trained without Sports; Sports records get confidence 0
@@ -170,7 +182,7 @@ class TestCollectConfidences:
         nonmembers = corp(rec("match goal", "league final", S))
         model, features = self.fitted_mnb(members)
         _, n = collect_confidences(model, features, members, nonmembers)
-        assert n[0].confidence == 0.0
+        assert n[0] == 0.0
 
 
 class TestNumpyHelpers:

@@ -9,20 +9,26 @@ import re
 import subprocess
 import sys
 import threading
+from collections import Counter
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
+import dpsynth.cli as cli_module
+import dpsynth.corpus as corpus_module
 from dpsynth.cli import (
     ExperimentConfig,
+    cmd_audit,
+    cmd_evaluate,
     cmd_generate,
+    cmd_sweep,
     load_config,
     main,
     stage,
 )
-from dpsynth.corpus import LABELS
+from dpsynth.corpus import LABELS, Corpus
 from dpsynth.dp import Mechanism
 from dpsynth.errors import StageError
 
@@ -512,3 +518,77 @@ class TestProgrammaticGenerate:
         assert manifest.command == "generate"
         assert manifest.config_fingerprint == config.fingerprint()
         assert Path(manifest.outputs["synthetic"]).exists()
+
+
+# ---------------------------------------------------------------- tokenize once
+
+
+class TestTokenizeOnce:
+    """Each corpus a command handles is tokenized at most once.
+
+    Every dpsynth module's ``tokenize`` is replaced by a counting spy except
+    reconciliation's, whose working tokenization is its own business (its
+    recount reads the corpus's matrix like everything else), and the mock
+    backend's, which parses prompts rather than records. The corpora a
+    command handles are caught where ``dpsynth.cli`` obtains them.
+    """
+
+    @pytest.fixture()
+    def spy(self, monkeypatch):
+        calls: Counter = Counter()
+        corpora: list = []
+        real = corpus_module.tokenize
+
+        def counting(text):
+            calls[text] += 1
+            return real(text)
+
+        exempt = ("dpsynth.synth.reconcile", "dpsynth.synth.mock")
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("dpsynth") and name not in exempt
+                    and getattr(module, "tokenize", None) is real):
+                monkeypatch.setattr(module, "tokenize", counting)
+
+        def keep(result):
+            for item in result if isinstance(result, tuple) else (result,):
+                if isinstance(item, Corpus):
+                    corpora.append(item)
+            return result
+
+        for name in ("sample_split", "load_agnews", "run_generation", "reconcile_corpus"):
+            original = getattr(cli_module, name)
+            monkeypatch.setattr(cli_module, name,
+                                lambda *a, _f=original, **k: keep(_f(*a, **k)))
+        return calls, corpora
+
+    @staticmethod
+    def check(calls, corpora, must_cover):
+        allowed: Counter = Counter()
+        for corpus in corpora:
+            allowed.update(f for r in corpus.records for f in (r.title, r.description))
+        extra = {t: n for t, n in calls.items() if n > allowed[t]}
+        assert not extra, f"tokenized more often than the corpora hold them: {extra}"
+        for corpus in must_cover:
+            assert all(calls[r.title] and calls[r.description] for r in corpus.records)
+
+    def config(self, generated, **extra):
+        path, out = generated
+        return load_config(str(path), {"output_dir": str(out), **extra})
+
+    def test_evaluate(self, generated, spy):
+        calls, corpora = spy
+        cmd_evaluate(self.config(generated, models=("mnb", "svm")),
+                     generated[1] / "synthetic.jsonl")
+        self.check(calls, corpora, must_cover=corpora)
+
+    def test_audit(self, generated, spy):
+        calls, corpora = spy
+        cmd_audit(self.config(generated), generated[1] / "synthetic.jsonl")
+        self.check(calls, corpora, must_cover=corpora)
+
+    def test_two_epsilon_sweep(self, generated, spy):
+        calls, corpora = spy
+        cmd_sweep(self.config(generated, epsilons=(0.5, 10.0), models=("mnb", "svm")))
+        _train, test, *released = corpora
+        assert len(released) == 3  # the raw corpus, then one per epsilon
+        self.check(calls, corpora, must_cover=[test, *released])

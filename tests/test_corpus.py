@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -249,6 +250,13 @@ def test_tokenize_properties(s):
         assert "_" not in t
     # idempotent on its own space-joined output
     assert tokenize(" ".join(toks)) == toks
+
+
+@given(st.text(max_size=200))
+@settings(max_examples=300)
+def test_tokenize_keeps_alphanumeric_runs_of_two_or_more(s):
+    runs = re.findall(r"[^\W_]+", s.lower())
+    assert tokenize(s) == [t for t in runs if len(t) >= 2]
 
 
 # ---------------------------------------------------------------- histogram

@@ -3,11 +3,14 @@ and report rendering."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpsynth.corpus import LABELS, ClassLabel, Corpus, Origin, Split
+from dpsynth.corpus import LABELS, ClassLabel, Corpus, Origin, Split, tokenize
 from dpsynth.errors import (
     DemoCountMismatch,
     EmptyCorpus,
@@ -109,6 +112,53 @@ class TestTfIdf:
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):
             fit_tfidf(corp())
+
+
+# Mixed case, digits, repeats, a one-letter token (dropped) and fields that
+# tokenize to nothing; test-only words never reach the training vocabulary.
+_TRAIN_WORDS = ["aa", "AA", "bb", "cc", "dd", "b2", "x", ".", "?!", "__"]
+_TEST_ONLY_WORDS = ["zz", "qq9", "éé"]
+
+
+def _records(words):
+    field = st.lists(st.sampled_from(words), min_size=1, max_size=8).map(" ".join)
+    return st.lists(st.builds(rec, field, field, st.sampled_from(LABELS)), max_size=8)
+
+
+def _reference_tfidf(train, records):
+    """Vocabulary, idf and dense L2-normalized rows, counted with Counter."""
+    counts = [Counter(tokenize(r.title) + tokenize(r.description)) for r in records]
+    df = Counter()
+    for r in train:
+        df.update(set(tokenize(r.title) + tokenize(r.description)))
+    tokens = sorted(df)
+    vocab = {t: j for j, t in enumerate(tokens)}
+    # np.log on a scalar, the same log the library takes
+    idf = [float(np.log((1.0 + len(train)) / (1.0 + df[t]))) + 1.0 for t in tokens]
+    rows = np.zeros((len(records), len(tokens)))
+    for i, c in enumerate(counts):
+        for t, n in c.items():
+            if t in vocab:
+                rows[i, vocab[t]] = n * idf[vocab[t]]
+        norm = math.sqrt(sum(v * v for v in rows[i]))
+        if norm > 0:
+            rows[i] /= norm
+    return vocab, idf, rows
+
+
+@given(train=_records(_TRAIN_WORDS).filter(bool),
+       test=_records(_TRAIN_WORDS + _TEST_ONLY_WORDS))
+@settings(max_examples=200, deadline=None)
+def test_tfidf_matches_counter_reference(train, test):
+    model = fit_tfidf(corp(*train))
+    vocab, idf, rows = _reference_tfidf(train, train + test)
+    assert model.vocabulary == vocab
+    assert list(model.vocabulary) == sorted(vocab)
+    assert model.idf.tolist() == idf
+    X = np.vstack([transform_corpus(model, corp(*train)).toarray(),
+                   transform_corpus(model, corp(*test)).toarray()])
+    assert X.shape == rows.shape
+    np.testing.assert_allclose(X, rows, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------- naive bayes
