@@ -20,7 +20,6 @@ from itertools import count
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     EmptyCorpus,
@@ -149,7 +148,7 @@ class Corpus:
 
     @cached_property
     def token_counts(self) -> TokenCounts:
-        """The record x token count matrix, built on first use and kept."""
+        """The record x token count arrays, built on first use and kept."""
         return count_tokens(self.records)
 
 
@@ -311,22 +310,25 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class TokenCounts:
-    """Records x tokens CSR matrix of int32 counts with sorted column indices.
+    """Records x tokens int32 counts as the three numpy arrays of a CSR matrix.
 
-    Column j counts ``tokens[j]``; the tokens are the corpus's own, sorted
-    lexicographically."""
+    Row i's sorted columns are ``indices[indptr[i]:indptr[i + 1]]`` and its
+    counts the same slice of ``data``; column j counts ``tokens[j]``, the
+    corpus's own tokens sorted lexicographically. Counting needs no scipy."""
 
     tokens: tuple[str, ...]
-    matrix: sparse.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
     def class_totals(self, records: tuple[NewsRecord, ...]) -> np.ndarray:
         """Occurrence totals per class of the counted ``records``: one row per
         label in LABELS order, one column per token."""
         row_of = {label: k for k, label in enumerate(LABELS)}
         classes = np.array([row_of[rec.label] for rec in records], dtype=np.intp)
-        rows = np.repeat(classes, np.diff(self.matrix.indptr))
+        rows = np.repeat(classes, np.diff(self.indptr))
         totals = np.zeros((len(LABELS), len(self.tokens)), dtype=np.int64)
-        np.add.at(totals, (rows, self.matrix.indices), self.matrix.data)
+        np.add.at(totals, (rows, self.indices), self.data)
         return totals
 
 
@@ -348,12 +350,9 @@ def count_tokens(records: tuple[NewsRecord, ...]) -> TokenCounts:
     tokens = tuple(sorted(ids))
     rank = np.empty(len(tokens), dtype=np.int32)
     rank[[ids[t] for t in tokens]] = np.arange(len(tokens), dtype=np.int32)
-    matrix = sparse.csr_matrix(
-        (np.frombuffer(data, dtype=np.int32), rank[np.frombuffer(cols, dtype=np.int32)],
-         np.frombuffer(indptr, dtype=np.int64)),
-        shape=(len(records), len(tokens)),
-    )
-    return TokenCounts(tokens=tokens, matrix=matrix)
+    return TokenCounts(tokens=tokens, indptr=np.frombuffer(indptr, dtype=np.int64),
+                       indices=rank[np.frombuffer(cols, dtype=np.int32)],
+                       data=np.frombuffer(data, dtype=np.int32))
 
 
 def histogram_fingerprint(vocab_limit: int) -> str:

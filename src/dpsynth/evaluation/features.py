@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from ..corpus import Corpus, NewsRecord
 from ..errors import EmptyCorpus
@@ -37,7 +36,7 @@ def fit_tfidf(train: Corpus) -> TfIdfModel:
     n_docs = len(train.records)
     counts = train.token_counts
     # One stored entry per (document, token): its column's entry count is df.
-    df = np.bincount(counts.matrix.indices, minlength=len(counts.tokens))
+    df = np.bincount(counts.indices, minlength=len(counts.tokens))
     idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
     vocabulary = {token: j for j, token in enumerate(counts.tokens)}
     return TfIdfModel(vocabulary=vocabulary, idf=idf, doc_count=n_docs)
@@ -50,8 +49,9 @@ def transform(model: TfIdfModel, record: NewsRecord) -> sparse.csr_matrix:
 
 def transform_corpus(model: TfIdfModel, corpus: Corpus) -> sparse.csr_matrix:
     """All records to an n x V CSR matrix (row order = record order)."""
-    counts, n = corpus.token_counts.matrix, len(corpus.records)
-    to_model = np.array([model.vocabulary.get(t, -1) for t in corpus.token_counts.tokens],
+    from scipy import sparse  # loaded by the commands that featurize, not at start-up
+    counts, n = corpus.token_counts, len(corpus.records)
+    to_model = np.array([model.vocabulary.get(t, -1) for t in counts.tokens],
                         dtype=np.int64)
     # Both column orders are lexicographic, so every row stays sorted.
     cols = to_model[counts.indices]

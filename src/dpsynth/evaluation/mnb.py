@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from ..corpus import LABELS, ClassLabel, Corpus
 from ..errors import EmptyCorpus

@@ -4,8 +4,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from scipy import sparse
-
 from ..corpus import LABELS, ClassLabel, Corpus
 from ..errors import EmptyCorpus
 # Not called here: perfbench/tracer.py counts single-record featurizations

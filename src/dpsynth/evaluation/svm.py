@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from ..corpus import LABELS, ClassLabel, Corpus
 from ..errors import EmptyCorpus, SingleClassCorpus, SolverDidNotConverge
@@ -88,6 +87,7 @@ def _newton_direction(Xb: sparse.csr_matrix, XbT: sparse.csr_matrix, mask: np.nd
 def _fit_ovr(X: sparse.csr_matrix, y: np.ndarray, n_classes: int,
              c_value: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weights (n_classes, V), biases and relative gradient norms per class."""
+    from scipy import sparse
     n = X.shape[0]
     Xb = sparse.hstack([X, np.ones((n, 1))], format="csr")
     XbT = Xb.T.tocsr()

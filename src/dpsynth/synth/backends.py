@@ -19,10 +19,8 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-
-import requests
 
 from ..errors import AuthMissing, BackendUnavailable
 from .mock import mock_classification_response, mock_generation_response, requested_count
@@ -57,14 +55,7 @@ class BackendSpec:
             raise ValueError("http backend requires endpoint_url and model_name")
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "endpoint_url": self.endpoint_url,
-            "model_name": self.model_name,
-            "auth_env_var": self.auth_env_var,
-            "max_concurrent": self.max_concurrent,
-            "retry_limit": self.retry_limit,
-        }
+        return asdict(self)
 
 
 def resolve_cache_dir(explicit: str | Path | None = None) -> Path:
@@ -140,17 +131,26 @@ class ResponseCache:
             self._consumed[key] = len(responses)
 
 
-class MockClient:
+class _Counted:
+    """Call counters in ``stats``; the ICL thread pool bumps them concurrently."""
+
+    def __init__(self):
+        self.stats = {"mock_calls": 0, "http_requests": 0, "cache_hits": 0}
+        self._stats_lock = threading.Lock()
+
+    def _count(self, key: str) -> None:
+        with self._stats_lock:
+            self.stats[key] += 1
+
+
+class MockClient(_Counted):
     """Offline backend; see dpsynth.synth.mock for the content model."""
 
     kind = "mock"
 
-    def __init__(self):
-        self.stats = {"mock_calls": 0, "http_requests": 0, "cache_hits": 0}
-
     def complete(self, prompt: str, *, temperature: float, top_p: float,
                  max_tokens: int, seed: int) -> str:
-        self.stats["mock_calls"] += 1
+        self._count("mock_calls")
         if prompt.startswith(CLASSIFICATION_HEAD):
             return mock_classification_response(prompt)
         prompt_hash = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
@@ -158,11 +158,12 @@ class MockClient:
 
 
 def _default_transport(url: str, headers: dict, body: dict) -> tuple[int, str]:
+    import requests  # only the HTTP backend's first request pays for it
     resp = requests.post(url, headers=headers, json=body, timeout=120)
     return resp.status_code, resp.text
 
 
-class HttpClient:
+class HttpClient(_Counted):
     """Chat-completions client with retries, backoff, and a disk cache.
 
     ``transport`` and ``sleep`` are injectable for tests; the default
@@ -174,11 +175,11 @@ class HttpClient:
 
     def __init__(self, spec: BackendSpec, cache: ResponseCache | None = None,
                  transport=None, sleep=time.sleep):
+        super().__init__()
         self.spec = spec
         self.cache = cache
         self.transport = transport or _default_transport
         self.sleep = sleep
-        self.stats = {"mock_calls": 0, "http_requests": 0, "cache_hits": 0}
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -198,7 +199,7 @@ class HttpClient:
         if self.cache is not None:
             hit = self.cache.get(key)
             if hit is not None:
-                self.stats["cache_hits"] += 1
+                self._count("cache_hits")
                 return hit
 
         body = {
@@ -216,8 +217,8 @@ class HttpClient:
                 self.sleep(_BACKOFF_BASE_SECONDS * 2 ** (attempt - 1))
             try:
                 status, text = self.transport(self.spec.endpoint_url, headers, body)
-                self.stats["http_requests"] += 1
-            except (requests.RequestException, ConnectionError, OSError) as exc:
+                self._count("http_requests")
+            except OSError as exc:  # requests.RequestException subclasses OSError
                 last_reason = f"transport error: {exc}"
                 continue
             if status in _RETRYABLE_STATUS:

@@ -183,6 +183,61 @@ def test_cli_import_leaves_scipy_stats_and_special_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_scipy_and_requests_load_only_for_the_commands_that_use_them(tmp_path):
+    # Start-up, a mock generate and an ICL-only evaluate build no sparse
+    # matrix and send no HTTP request, so they must not pay to import scipy
+    # or requests. The classifier commands load scipy themselves and write
+    # the same bytes as a process that had both packages loaded from the start.
+    import dpsynth
+
+    src = str(Path(dpsynth.__file__).resolve().parents[1])
+    config = write_config(tmp_path)
+    synthetic = str(tmp_path / "lazy" / "generate" / "synthetic.jsonl")
+    commands = {
+        "generate": ["generate"],
+        "evaluate-icl": ["evaluate", "--synthetic", synthetic, "--models", "icl",
+                         "--icl-shots", "0"],
+        "evaluate-mnb-svm": ["evaluate", "--synthetic", synthetic, "--models", "mnb,svm"],
+        "audit": ["audit", "--synthetic", synthetic],
+    }
+
+    def argv(root: str) -> dict[str, list[str]]:
+        return {name: [*args, "--config", str(config), "--out", str(tmp_path / root / name)]
+                for name, args in commands.items()}
+
+    code = (
+        "import json, sys\n"
+        "import dpsynth, dpsynth.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'requests'))\n"
+        "seen = {'import': loaded()}\n"
+        f"for name, argv in {argv('lazy')!r}.items():\n"
+        "    assert dpsynth.cli.main(argv) == 0, name\n"
+        "    seen[name] = loaded()\n"
+        "print(json.dumps(seen))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen["import"] == seen["generate"] == seen["evaluate-icl"] == []
+    assert "scipy.sparse" in seen["evaluate-mnb-svm"]
+    assert not any(m.startswith("requests") for m in seen["audit"])
+
+    # The same commands in a process that has both packages loaded already.
+    import requests  # noqa: F401
+    import scipy.sparse  # noqa: F401
+
+    for args in argv("eager").values():
+        assert main(args) == 0
+    for artifact in ("generate/synthetic.jsonl", "generate/histogram_noisy.json",
+                     "evaluate-icl/evaluation.json", "evaluate-mnb-svm/evaluation.json",
+                     "evaluate-mnb-svm/evaluation.md", "audit/audit.json"):
+        lazy = (tmp_path / "lazy" / artifact).read_bytes()
+        assert lazy == (tmp_path / "eager" / artifact).read_bytes(), artifact
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps():
     # perfbench/tracer.py replaces functions at the names their callers look
     # up; renaming or dropping one of those names breaks traced benchmark runs.

@@ -15,6 +15,7 @@ from dpsynth.corpus import (
     Origin,
     Split,
     build_histogram,
+    count_tokens,
     histogram_fingerprint,
     histogram_from_json,
     load_agnews,
@@ -291,6 +292,29 @@ def test_build_histogram_count_beats_lexicographic():
 def test_build_histogram_empty_corpus():
     with pytest.raises(EmptyCorpus):
         build_histogram(Corpus(records=()), vocab_limit=5)
+
+
+def test_token_counts_arrays_match_scipy_csr():
+    # The counts are kept as bare CSR arrays; scipy, given the same records
+    # counted densely, must store exactly those arrays.
+    from collections import Counter
+
+    from scipy import sparse
+
+    records = balanced_corpus(6, ["alpha", "beta", "gamma", "delta", "x"],
+                              np.random.default_rng(5)).records
+    records += (rec("Zeta zeta ALPHA", "omega-beta 42 42", ClassLabel.WORLD),)
+    counts = count_tokens(records)
+    assert list(counts.tokens) == sorted({t for r in records for t in tokenize(r.text)})
+    column = {t: j for j, t in enumerate(counts.tokens)}
+    dense = np.zeros((len(records), len(counts.tokens)), dtype=np.int32)
+    for i, r in enumerate(records):
+        for token, n in Counter(tokenize(r.title) + tokenize(r.description)).items():
+            dense[i, column[token]] = n
+    expected = sparse.csr_matrix(dense)
+    np.testing.assert_array_equal(counts.indptr, expected.indptr)
+    np.testing.assert_array_equal(counts.indices, expected.indices)
+    np.testing.assert_array_equal(counts.data, expected.data)
 
 
 def test_histogram_json_roundtrip():

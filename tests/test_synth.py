@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -417,6 +420,19 @@ class TestHttpBackend:
         assert ask(client) == "ok"
         assert sleeps == [0.5]
 
+    def test_requests_exceptions_are_retried(self, tmp_path):
+        import requests
+
+        client, transport, sleeps = http_client(tmp_path, [
+            requests.exceptions.ConnectionError("refused"),
+            requests.exceptions.Timeout("slow"),
+            (200, chat_body("third")),
+        ])
+        assert ask(client) == "third"
+        assert len(transport.requests) == 3
+        assert sleeps == [0.5, 1.0]
+        assert client.stats["http_requests"] == 1
+
     def test_non_retryable_status_fails_fast(self, tmp_path):
         client, transport, _ = http_client(tmp_path, [(404, "missing")])
         with pytest.raises(BackendUnavailable) as err:
@@ -458,6 +474,55 @@ class TestHttpBackend:
         monkeypatch.setenv("DPSYNTH_TEST_TOKEN", "sekrit")
         assert ask(client) == "ok"
         assert transport.requests[0][1]["Authorization"] == "Bearer sekrit"
+
+
+class _YieldingStats(dict):
+    """A stats mapping whose reads hand the GIL to another thread.
+
+    CPython switches threads only at calls and backward jumps, so a bare
+    ``dict[k] += 1`` seldom loses a count; a read that sleeps puts a thread
+    switch inside every read-modify-write that no lock covers."""
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        time.sleep(0)
+        return value
+
+
+class TestBackendCounters:
+    """The ICL pool calls one client from many threads; no count may be lost."""
+
+    THREADS, CALLS = 8, 200
+
+    def hammer(self, client, call):
+        client.stats = _YieldingStats(client.stats)
+
+        def worker():
+            for _ in range(self.CALLS):
+                call()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(self.THREADS)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        return self.THREADS * self.CALLS
+
+    def test_mock_calls_are_exact(self):
+        client = MockClient()
+        n = self.hammer(client, lambda: ask(client, CLASSIFICATION_HEAD))
+        assert client.stats == {"mock_calls": n, "http_requests": 0, "cache_hits": 0}
+
+    def test_http_requests_are_exact(self, tmp_path):
+        client, _, _ = http_client(tmp_path, [(200, chat_body("ok"))], cache=False)
+        n = self.hammer(client, lambda: ask(client))
+        assert client.stats == {"mock_calls": 0, "http_requests": n, "cache_hits": 0}
 
 
 class TestResponseCache:
