@@ -3,6 +3,7 @@ backend, manifest contents, HTTP replay, and failure modes."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -436,6 +437,49 @@ class TestCmdSweep:
         path = write_config(tmp_path)
         assert main(["sweep", "--config", str(path), "--epsilons", "1"]) == 1
         assert "at least two epsilon" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- golden outputs
+
+
+class TestGoldenOutputs:
+    """Whole outputs pinned by digest, not only compared between reruns.
+
+    A rerun comparison cannot see a renamed random stream, a reordered draw
+    or a stage that reads the wrong stream: both runs change alike. The
+    split sizes are chosen so that each of the generation, noise and
+    reconcile streams moves at least one sweep accuracy. A change that means
+    to move a stream re-pins these digests and says so.
+    """
+
+    @pytest.mark.parametrize("argv, extra, digests", [
+        (["generate"], {}, {
+            "synthetic.jsonl": "e78b8fdc9a167c7292c336858710de63c8fb143806ee7047c4d142791072eba8",
+            "histogram_noisy.json": "77b67cfacbc1163906f5a05849f92618a6645266095d65d194c476a57c18997b",
+        }),
+        (["generate", "--mechanism", "gaussian", "--epsilon", "0.5"], {}, {
+            "synthetic.jsonl": "8b9c3eb34808681428eb4261c2e6aa51a3ca5e5385a3827fecc12708d4a881df",
+            "histogram_noisy.json": "728bb19c7091fde6bf45fecf0b5d43fe5a4b3e7203d60e88bbdc9ad0f8041baf",
+        }),
+        (["generate"], {"epsilon": 0.0}, {
+            "synthetic.jsonl": "61c21bdb708c034defb1581ceba55d31af03cea338ab28ddc61623edbd6c31db",
+            "histogram_noisy.json": "e19918b761d773c4b1830ff0e22b4217593cfe996e13c0ae0a092b29c7eedae0",
+        }),
+        (["sweep", "--epsilons", "0,1", "--models", "mnb", "--sweep-seeds", "2"], {}, {
+            "sweep.json": "aa67e3b4365519ecd25699f4e6c16a7047140a8c6e741ad1839cd1b09cd99516",
+        }),
+        (["sweep", "--epsilons", "0,1", "--models", "mnb", "--fresh-generation"], {}, {
+            "sweep.json": "f95ab702616b390e6e61bf39fc42ca9a522bce856fa2c76081acefe3632d6cc2",
+        }),
+    ], ids=["laplace-eps1", "gaussian-eps0.5", "eps0-floor", "sweep-two-seeds",
+            "sweep-fresh-generation"])
+    def test_output_digests(self, tmp_path, argv, extra, digests):
+        path = write_config(tmp_path, dataset_path="mock:96", n_train=48, n_test=48,
+                            gen={"total_records": 32, "batch_size": 8}, **extra)
+        assert main([*argv, "--config", str(path)]) == 0
+        for artifact, digest in digests.items():
+            data = (tmp_path / "out" / artifact).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, artifact
 
 
 # ---------------------------------------------------------------- audit
