@@ -25,10 +25,6 @@ from .corpus import (
     NewsRecord,
     Origin,
     Split,
-    TokenHistogram,
-    build_histogram,
-    histogram_fingerprint,
-    histogram_from_json,
     load_agnews,
     normalize_label,
     sample_split,
@@ -39,14 +35,16 @@ from .dp import (
     DEFAULT_SENSITIVITY,
     BudgetLedger,
     Mechanism,
-    NoisyHistogram,
     PrivacyParams,
     SensitivityBound,
+    TokenHistogram,
+    build_histogram,
     charge,
     gaussian_sigma,
+    histogram_fingerprint,
+    histogram_from_json,
     laplace_scale,
     noise_scale,
-    noisy_histogram_from_json,
     perturb_histogram,
     sample_gaussian,
     sample_laplace,
@@ -76,7 +74,6 @@ __all__ = [
     "Mechanism",
     "MiaResult",
     "NewsRecord",
-    "NoisyHistogram",
     "Origin",
     "PrivacyParams",
     "SensitivityBound",
@@ -97,7 +94,6 @@ __all__ = [
     "make_rng",
     "mock_original_corpus",
     "noise_scale",
-    "noisy_histogram_from_json",
     "normalize_label",
     "perturb_histogram",
     "reconcile_corpus",

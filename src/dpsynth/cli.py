@@ -33,20 +33,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corpus import (
-    Corpus,
-    CorpusFormat,
-    Origin,
-    build_histogram,
-    load_agnews,
-    sample_split,
-    save_jsonl,
-)
+from .corpus import Corpus, CorpusFormat, Origin, load_agnews, sample_split, save_jsonl
 from .dp import (
     BudgetLedger,
     Mechanism,
     PrivacyParams,
     SensitivityBound,
+    TokenHistogram,
+    build_histogram,
     charge,
     perturb_histogram,
 )
@@ -166,33 +160,7 @@ class ExperimentConfig:
         return PrivacyParams(epsilon=epsilon, delta=delta, mechanism=mech)
 
     def to_json_dict(self) -> dict:
-        return {
-            "dataset_path": self.dataset_path,
-            "dataset_format": self.dataset_format,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "backend": self.backend.to_json_dict(),
-            "gen": self.gen.to_json_dict(),
-            "epsilon": self.epsilon,
-            "epsilons": list(self.epsilons),
-            "mechanism": self.mechanism,
-            "delta": self.delta,
-            "sensitivity_l1": self.sensitivity_l1,
-            "sensitivity_l2": self.sensitivity_l2,
-            "vocab_limit": self.vocab_limit,
-            "models": list(self.models),
-            "icl_shots": list(self.icl_shots),
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "epsilon_floor": self.epsilon_floor,
-            "sweep_seeds": self.sweep_seeds,
-            "fresh_generation_per_epsilon": self.fresh_generation_per_epsilon,
-            "cache_enabled": self.cache_enabled,
-            "cache_dir": self.cache_dir,
-            "mnb_alpha": self.mnb_alpha,
-            "svm_c_grid": list(self.svm_c_grid),
-            "svm_val_fraction": self.svm_val_fraction,
-        }
+        return dataclasses.asdict(self, dict_factory=_json_fields)
 
     # Execution details that do not change what the experiment computes;
     # relocating outputs or toggling the cache must not look like a new run.
@@ -204,6 +172,11 @@ class ExperimentConfig:
             identity.pop(field_name, None)
         canon = json.dumps(identity, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+def _json_fields(items: list) -> dict:
+    """``dataclasses.asdict`` factory that writes tuples as JSON lists."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in items}
 
 
 def _merge_config_values(file_values: dict, overrides: dict) -> ExperimentConfig:
@@ -395,6 +368,36 @@ def _ledger_for_input(synthetic_file: str | Path) -> tuple[BudgetLedger, bool]:
         return BudgetLedger(), False
 
 
+# ---------------------------------------------------------------- release
+
+def _synthesize(config: ExperimentConfig, train: Corpus, client, seed: int,
+                *labels) -> tuple[Corpus, TokenHistogram]:
+    """Generate a raw synthetic corpus and count its true histogram.
+
+    The generation stream is ``subseed(seed, "generation", *labels)``."""
+    with stage("generate-records"):
+        gen_config = replace(config.gen, seed=subseed(seed, "generation", *labels))
+        raw = run_generation(train, client, gen_config)
+    with stage("histogram"):
+        return raw, build_histogram(raw, config.vocab_limit)
+
+
+def _release(config: ExperimentConfig, raw: Corpus, hist: TokenHistogram,
+             requested: float, seed: int, *labels) -> tuple[Corpus, TokenHistogram]:
+    """Noise ``hist`` at the requested epsilon and reconcile ``raw`` to it.
+
+    Returns the reconciled corpus and the released histogram, whose
+    ``params`` are what the caller charges to its ledger. The noise and
+    reconcile streams are ``sub_rng(seed, "<stage>", *labels)``."""
+    with stage("dp-noise"):
+        params = config.privacy_for(config.resolve_epsilon(requested)[0])
+        noisy = perturb_histogram(hist, params, config.sensitivity,
+                                  sub_rng(seed, "dp-noise", *labels))
+    with stage("reconcile"):
+        synthetic = reconcile_corpus(raw, noisy, sub_rng(seed, "reconcile", *labels))
+    return synthetic, noisy
+
+
 # ---------------------------------------------------------------- generate
 
 def cmd_generate(config: ExperimentConfig) -> RunManifest:
@@ -416,28 +419,16 @@ def cmd_generate(config: ExperimentConfig) -> RunManifest:
 
     with stage("generate-records"):
         client = _make_client(config)
-        gen_config = replace(config.gen, seed=subseed(config.seed, "generation"))
-        synthetic_raw = run_generation(train, client, gen_config)
-
-    with stage("histogram"):
-        hist = build_histogram(synthetic_raw, config.vocab_limit)
-
-    with stage("dp-noise"):
-        eps_used, floored = config.resolve_epsilon(config.epsilon)
-        if floored:
-            print(
-                f"note: epsilon 0 has no finite calibration; running at the "
-                f"surrogate floor {config.epsilon_floor} (flagged in the manifest)",
-                file=sys.stderr,
-            )
-        params = config.privacy_for(eps_used)
-        noisy = perturb_histogram(hist, params, config.sensitivity,
-                                  sub_rng(config.seed, "dp-noise"))
-        ledger = charge(BudgetLedger(), f"release-eps{config.epsilon}", params)
-
-    with stage("reconcile"):
-        synthetic = reconcile_corpus(synthetic_raw, noisy,
-                                     sub_rng(config.seed, "reconcile"))
+    raw, hist = _synthesize(config, train, client, config.seed)
+    eps_used, floored = config.resolve_epsilon(config.epsilon)
+    if floored:
+        print(
+            f"note: epsilon 0 has no finite calibration; running at the "
+            f"surrogate floor {config.epsilon_floor} (flagged in the manifest)",
+            file=sys.stderr,
+        )
+    synthetic, noisy = _release(config, raw, hist, config.epsilon, config.seed)
+    ledger = charge(BudgetLedger(), f"release-eps{config.epsilon}", noisy.params)
 
     created: list[Path] = []
     with stage("write-output"):
@@ -475,26 +466,14 @@ def cmd_generate(config: ExperimentConfig) -> RunManifest:
 
 # ---------------------------------------------------------------- evaluate
 
-def _fit_and_predict(
-    config: ExperimentConfig,
-    name: str,
-    train_corpus: Corpus,
-    test: Corpus,
-    seed: int,
-) -> list:
-    """Fit features and an MNB or SVM model on one corpus; label the test split."""
-    features = fit_tfidf(train_corpus)
+def _fit(config: ExperimentConfig, name: str, corpus: Corpus, seed: int = 0):
+    """TF-IDF features and an MNB or SVM model fitted on one corpus, as
+    ``(features, model)``. Only the SVM reads ``seed``."""
+    features = fit_tfidf(corpus)
     if name == "mnb":
-        model = train_mnb(train_corpus, features, alpha=config.mnb_alpha)
-    else:
-        model = train_svm(
-            train_corpus,
-            features,
-            c_grid=config.svm_c_grid,
-            val_fraction=config.svm_val_fraction,
-            seed=seed,
-        )
-    return predict(model, transform_corpus(features, test))
+        return features, train_mnb(corpus, features, alpha=config.mnb_alpha)
+    return features, train_svm(corpus, features, c_grid=config.svm_c_grid,
+                               val_fraction=config.svm_val_fraction, seed=seed)
 
 
 def _icl_reports(
@@ -551,8 +530,10 @@ def cmd_evaluate(config: ExperimentConfig, synthetic_file: str | Path) -> RunMan
             continue
         with stage(f"train-{name}"):
             for source, corpus in (("Original", train), ("Synthetic", synthetic)):
-                predictions = _fit_and_predict(config, name, corpus, test,
-                                               subseed(config.seed, "train", name, source))
+                features, model = _fit(config, name, corpus,
+                                       subseed(config.seed, "train", name, source))
+                predictions = predict(model, transform_corpus(features, test))
+                del features, model  # before the next fit
                 reports.append(evaluate(predictions, test, model_tag=name,
                                         train_source=source, config_fingerprint=fp))
     if "icl" in config.models:
@@ -616,7 +597,8 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
     train, test = _load_original(config)
     _external_data_note(config)
 
-    client = _make_client(config)
+    with stage("generate-records"):
+        client = _make_client(config)
     ledger = BudgetLedger()
     # accuracies[(model, requested_eps)] -> one value per seed
     accuracies: dict[tuple[str, float], list[float]] = {}
@@ -624,41 +606,15 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
 
     for rep in range(config.sweep_seeds):
         rep_seed = config.seed + rep
-        base_raw = None
-        base_hist = None
-        if not config.fresh_generation_per_epsilon:
-            with stage("generate-records"):
-                gen_config = replace(config.gen, seed=subseed(rep_seed, "generation"))
-                base_raw = run_generation(train, client, gen_config)
-            with stage("histogram"):
-                base_hist = build_histogram(base_raw, config.vocab_limit)
+        base = (None if config.fresh_generation_per_epsilon
+                else _synthesize(config, train, client, rep_seed))
 
         for requested in config.epsilons:
-            eps_used, floored = config.resolve_epsilon(requested)
-            eps_used_by[requested] = (eps_used, floored)
-            params = config.privacy_for(eps_used)
-
-            if config.fresh_generation_per_epsilon:
-                with stage("generate-records"):
-                    gen_config = replace(
-                        config.gen,
-                        seed=subseed(rep_seed, "generation", repr(requested)),
-                    )
-                    raw = run_generation(train, client, gen_config)
-                with stage("histogram"):
-                    hist = build_histogram(raw, config.vocab_limit)
-            else:
-                raw, hist = base_raw, base_hist
-
-            with stage("dp-noise"):
-                noisy = perturb_histogram(
-                    hist, params, config.sensitivity,
-                    sub_rng(rep_seed, "dp-noise", repr(requested)),
-                )
-                ledger = charge(ledger, f"seed{rep_seed}-eps{requested}", params)
-            with stage("reconcile"):
-                synthetic = reconcile_corpus(
-                    raw, noisy, sub_rng(rep_seed, "reconcile", repr(requested)))
+            eps_used_by[requested] = config.resolve_epsilon(requested)
+            raw, hist = base or _synthesize(config, train, client, rep_seed, repr(requested))
+            synthetic, noisy = _release(config, raw, hist, requested, rep_seed,
+                                        repr(requested))
+            ledger = charge(ledger, f"seed{rep_seed}-eps{requested}", noisy.params)
 
             for name in config.models:
                 with stage(f"evaluate-{name}"):
@@ -669,9 +625,10 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
                                             seed=subseed(rep_seed, "icl", shots, "Synthetic"))
                         report = icl_evaluate(icl_cfg, synthetic, test, client=client)
                     else:
-                        predictions = _fit_and_predict(
-                            config, name, synthetic, test,
-                            subseed(rep_seed, "train", name, "Synthetic"))
+                        features, model = _fit(config, name, synthetic, subseed(
+                            rep_seed, "train", name, "Synthetic"))
+                        predictions = predict(model, transform_corpus(features, test))
+                        del features, model  # before the next release
                         report = evaluate(predictions, test, model_tag=name,
                                           train_source="Synthetic")
                 accuracies.setdefault((name, requested), []).append(report.accuracy)
@@ -733,10 +690,8 @@ def cmd_audit(config: ExperimentConfig, synthetic_file: str | Path) -> RunManife
                                 origin=Origin.SYNTHETIC)
 
     with stage("train-models"):
-        features_orig = fit_tfidf(train)
-        model_orig = train_mnb(train, features_orig, alpha=config.mnb_alpha)
-        features_synth = fit_tfidf(synthetic)
-        model_synth = train_mnb(synthetic, features_synth, alpha=config.mnb_alpha)
+        features_orig, model_orig = _fit(config, "mnb", train)
+        features_synth, model_synth = _fit(config, "mnb", synthetic)
 
     with stage("mia"):
         mia_seed = subseed(config.seed, "mia")

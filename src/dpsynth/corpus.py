@@ -1,9 +1,9 @@
-"""Labeled news corpora: loading, label normalization, splits, and token histograms.
+"""Labeled news corpora: loading, label normalization, splits, and token counts.
 
 Four-class news records (World / Sports / Business / Sci/Tech) ingested from
 the classic 3-column CSV (class index, title, description) or from JSONL with
-``Title`` / ``Description`` / ``Class_Label`` keys. Token histograms computed
-here are the statistic the dp module perturbs and the synth module reconciles
+``Title`` / ``Description`` / ``Class_Label`` keys. Token counts computed here
+feed the histograms the dp module releases and the synth module reconciles
 against, so the tokenizer is versioned and fingerprinted.
 """
 from __future__ import annotations
@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    EmptyCorpus,
     EmptyFile,
     InsufficientRecords,
     MalformedRow,
@@ -353,69 +352,3 @@ def count_tokens(records: tuple[NewsRecord, ...]) -> TokenCounts:
     return TokenCounts(tokens=tokens, indptr=np.frombuffer(indptr, dtype=np.int64),
                        indices=rank[np.frombuffer(cols, dtype=np.int32)],
                        data=np.frombuffer(data, dtype=np.int32))
-
-
-def histogram_fingerprint(vocab_limit: int) -> str:
-    return f"{TOKENIZER_ID}:k{int(vocab_limit)}"
-
-
-@dataclass(frozen=True)
-class TokenHistogram:
-    """Per-class counts of the top-K tokens (ties broken lexicographically)."""
-
-    per_class: dict[ClassLabel, dict[str, int]]
-    vocab_limit: int
-    fingerprint: str = ""
-
-    def __post_init__(self):
-        if not self.fingerprint:
-            object.__setattr__(self, "fingerprint", histogram_fingerprint(self.vocab_limit))
-
-    def total(self, label: ClassLabel) -> int:
-        return sum(self.per_class.get(label, {}).values())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "vocab_limit": self.vocab_limit,
-            "per_class": {
-                label.display: dict(sorted(self.per_class.get(label, {}).items()))
-                for label in LABELS
-            },
-        }
-
-
-def histogram_from_json(obj: dict) -> TokenHistogram:
-    per_class = {
-        label: {str(t): int(c) for t, c in obj["per_class"].get(label.display, {}).items()}
-        for label in LABELS
-    }
-    return TokenHistogram(
-        per_class=per_class,
-        vocab_limit=int(obj["vocab_limit"]),
-        fingerprint=str(obj.get("fingerprint", "")),
-    )
-
-
-def build_histogram(corpus: Corpus, vocab_limit: int = 500) -> TokenHistogram:
-    """Top-``vocab_limit`` token counts per class.
-
-    Ranking is by count descending, then token ascending, so the retained
-    vocabulary is deterministic. Counts are exact occurrence counts; no
-    clipping happens here. Raises EmptyCorpus when there are no records.
-    """
-    if not corpus.records:
-        raise EmptyCorpus("cannot build a histogram from an empty corpus")
-    if vocab_limit < 1:
-        raise ValueError("vocab_limit must be >= 1")
-    # Counted like ``token_counts`` but not kept: nothing else reads a raw
-    # corpus's counts, and the raw corpus stays alive through every release.
-    counts = count_tokens(corpus.records)
-    tokens = counts.tokens
-    per_class: dict[ClassLabel, dict[str, int]] = {}
-    for label, totals in zip(LABELS, counts.class_totals(corpus.records)):
-        seen = np.flatnonzero(totals)
-        # Columns are lexicographic, so ties on count go to the smaller column.
-        ranked = sorted(zip((-totals[seen]).tolist(), seen.tolist()))[:vocab_limit]
-        per_class[label] = {tokens[j]: -negative for negative, j in ranked}
-    return TokenHistogram(per_class=per_class, vocab_limit=vocab_limit)

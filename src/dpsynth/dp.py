@@ -1,4 +1,4 @@
-"""Differential privacy primitives for histogram releases.
+"""Token histograms and their differentially private release.
 
 Calibration follows the standard mechanisms: Laplace noise with scale
 b = l1_sensitivity / epsilon gives pure epsilon-DP, and Gaussian noise with
@@ -17,8 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import LABELS, ClassLabel, TokenHistogram
+from .corpus import LABELS, TOKENIZER_ID, ClassLabel, Corpus, count_tokens
 from .errors import (
+    EmptyCorpus,
     EpsilonOutOfRange,
     InvalidDelta,
     InvalidMechanism,
@@ -72,9 +73,8 @@ class SensitivityBound:
         return {"l1": self.l1, "l2": self.l2}
 
 
-# One document contributes at most 200 tokens (the generation cap), so a
-# histogram changes by at most 200 in L1 and sqrt(200) in L2 when one
-# document is swapped.
+# Assumed, not enforced: nothing clips a document's contribution, and
+# swapping one n-token document can move the histogram by up to 2n in L1.
 DEFAULT_SENSITIVITY = SensitivityBound(l1=200.0, l2=math.sqrt(200.0))
 
 
@@ -160,19 +160,30 @@ def sample_gaussian(rng: np.random.Generator, sigma: float, size: int | None = N
     return gaussian_from_uniforms(u1, u2, sigma)
 
 
-# ---------------------------------------------------------------- histogram release
+# ---------------------------------------------------------------- histograms
+
+def histogram_fingerprint(vocab_limit: int) -> str:
+    return f"{TOKENIZER_ID}:k{int(vocab_limit)}"
+
 
 @dataclass(frozen=True)
-class NoisyHistogram:
-    """A noised histogram: nonnegative integer counts plus release metadata."""
+class TokenHistogram:
+    """Per-class counts of the top-K tokens (ties broken lexicographically).
+
+    Counts are nonnegative ints. A released histogram also carries the
+    privacy parameters and sensitivity bound its noise was calibrated to;
+    a true one leaves both None.
+    """
 
     per_class: dict[ClassLabel, dict[str, int]]
     vocab_limit: int
-    fingerprint: str
-    params_used: PrivacyParams
-    sensitivity_used: SensitivityBound
+    fingerprint: str = ""
+    params: PrivacyParams | None = None
+    sensitivity: SensitivityBound | None = None
 
     def __post_init__(self):
+        if not self.fingerprint:
+            object.__setattr__(self, "fingerprint", histogram_fingerprint(self.vocab_limit))
         for label, cells in self.per_class.items():
             for token, count in cells.items():
                 if not isinstance(count, int) or count < 0:
@@ -184,17 +195,68 @@ class NoisyHistogram:
         return sum(self.per_class.get(label, {}).values())
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "fingerprint": self.fingerprint,
             "vocab_limit": self.vocab_limit,
-            "params": self.params_used.to_json_dict(),
-            "sensitivity": self.sensitivity_used.to_json_dict(),
             "per_class": {
                 label.display: dict(sorted(self.per_class.get(label, {}).items()))
                 for label in LABELS
             },
         }
+        if self.params is not None:
+            out["params"] = self.params.to_json_dict()
+            out["sensitivity"] = self.sensitivity.to_json_dict()
+        return out
 
+
+def histogram_from_json(obj: dict) -> TokenHistogram:
+    """Read a true or a released histogram written by ``to_json_dict``."""
+    release = {}
+    if "params" in obj:
+        params, sens = obj["params"], obj["sensitivity"]
+        release = {
+            "params": PrivacyParams(epsilon=float(params["epsilon"]),
+                                    delta=float(params["delta"]),
+                                    mechanism=Mechanism(params["mechanism"])),
+            "sensitivity": SensitivityBound(l1=float(sens["l1"]), l2=float(sens["l2"])),
+        }
+    per_class = {
+        label: {str(t): int(c) for t, c in obj["per_class"].get(label.display, {}).items()}
+        for label in LABELS
+    }
+    return TokenHistogram(
+        per_class=per_class,
+        vocab_limit=int(obj["vocab_limit"]),
+        fingerprint=str(obj.get("fingerprint", "")),
+        **release,
+    )
+
+
+def build_histogram(corpus: Corpus, vocab_limit: int = 500) -> TokenHistogram:
+    """Top-``vocab_limit`` token counts per class.
+
+    Ranking is by count descending, then token ascending, so the retained
+    vocabulary is deterministic. Counts are exact occurrence counts; no
+    clipping happens here. Raises EmptyCorpus when there are no records.
+    """
+    if not corpus.records:
+        raise EmptyCorpus("cannot build a histogram from an empty corpus")
+    if vocab_limit < 1:
+        raise ValueError("vocab_limit must be >= 1")
+    # Counted like ``token_counts`` but not kept: nothing else reads a raw
+    # corpus's counts, and the raw corpus stays alive through every release.
+    counts = count_tokens(corpus.records)
+    tokens = counts.tokens
+    per_class: dict[ClassLabel, dict[str, int]] = {}
+    for label, totals in zip(LABELS, counts.class_totals(corpus.records)):
+        seen = np.flatnonzero(totals)
+        # Columns are lexicographic, so ties on count go to the smaller column.
+        ranked = sorted(zip((-totals[seen]).tolist(), seen.tolist()))[:vocab_limit]
+        per_class[label] = {tokens[j]: -negative for negative, j in ranked}
+    return TokenHistogram(per_class=per_class, vocab_limit=vocab_limit)
+
+
+# ---------------------------------------------------------------- histogram release
 
 def perturb_histogram(
     histogram: TokenHistogram,
@@ -203,7 +265,7 @@ def perturb_histogram(
     rng: np.random.Generator,
     *,
     noise_fn: Callable[[], float] | None = None,
-) -> NoisyHistogram:
+) -> TokenHistogram:
     """Noise every histogram cell and round-clamp to nonnegative integers.
 
     Cells are visited in a fixed order (classes in enum order, tokens
@@ -228,32 +290,12 @@ def perturb_histogram(
         for token in sorted(cells):
             out[token] = max(0, int(round(cells[token] + noise_fn())))
         noisy[label] = out
-    return NoisyHistogram(
+    return TokenHistogram(
         per_class=noisy,
         vocab_limit=histogram.vocab_limit,
         fingerprint=histogram.fingerprint,
-        params_used=params,
-        sensitivity_used=sensitivity,
-    )
-
-
-def noisy_histogram_from_json(obj: dict) -> NoisyHistogram:
-    params = PrivacyParams(
-        epsilon=float(obj["params"]["epsilon"]),
-        delta=float(obj["params"]["delta"]),
-        mechanism=Mechanism(obj["params"]["mechanism"]),
-    )
-    sens = SensitivityBound(l1=float(obj["sensitivity"]["l1"]), l2=float(obj["sensitivity"]["l2"]))
-    per_class = {
-        label: {str(t): int(c) for t, c in obj["per_class"].get(label.display, {}).items()}
-        for label in LABELS
-    }
-    return NoisyHistogram(
-        per_class=per_class,
-        vocab_limit=int(obj["vocab_limit"]),
-        fingerprint=str(obj["fingerprint"]),
-        params_used=params,
-        sensitivity_used=sens,
+        params=params,
+        sensitivity=sensitivity,
     )
 
 

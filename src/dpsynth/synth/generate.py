@@ -5,7 +5,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from ..corpus import LABELS, ClassLabel, Corpus, NewsRecord, Origin, Split, normalize_label
 from ..errors import AllRecordsMalformed, MissingClassDemo, QuotaUnreachable, UnknownLabel
@@ -41,16 +41,7 @@ class GenerationConfig:
             raise ValueError("max_calls must be >= 0")
 
     def to_json_dict(self) -> dict:
-        return {
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "max_tokens": self.max_tokens,
-            "num_shots": self.num_shots,
-            "batch_size": self.batch_size,
-            "total_records": self.total_records,
-            "seed": self.seed,
-            "max_calls": self.max_calls,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -32,15 +32,8 @@ from bisect import bisect_left
 
 import numpy as np
 
-from ..corpus import (
-    LABELS,
-    Corpus,
-    NewsRecord,
-    TokenHistogram,
-    histogram_fingerprint,
-    tokenize,
-)
-from ..dp import NoisyHistogram
+from ..corpus import LABELS, Corpus, NewsRecord, tokenize
+from ..dp import TokenHistogram, histogram_fingerprint
 from ..errors import InsufficientRecords, VocabMismatch
 
 # A field whose tokens were all deleted is rendered as ".": non-empty text
@@ -52,7 +45,7 @@ _CUT = ""
 
 def reconcile_corpus(
     synthetic: Corpus,
-    target: NoisyHistogram | TokenHistogram,
+    target: TokenHistogram,
     rng: np.random.Generator,
 ) -> Corpus:
     """Return a copy of ``synthetic`` whose counts match ``target`` exactly.
@@ -164,7 +157,7 @@ def _merge(title: list, desc: list, new: list, rng: np.random.Generator):
     return merged[:cut], merged[cut + 1:]
 
 
-def count_vocab_tokens(corpus: Corpus, target: NoisyHistogram | TokenHistogram) -> dict:
+def count_vocab_tokens(corpus: Corpus, target: TokenHistogram) -> dict:
     """Exact per-class counts of the target-vocabulary tokens in ``corpus``.
 
     Read from the corpus's count matrix, built from the rendered records and

@@ -26,7 +26,6 @@ from dpsynth.corpus import (
     NewsRecord,
     Origin,
     Split,
-    build_histogram,
     load_agnews,
     sample_split,
 )
@@ -35,6 +34,7 @@ from dpsynth.dp import (
     Mechanism,
     PrivacyParams,
     SensitivityBound,
+    build_histogram,
     gaussian_sigma,
     laplace_scale,
     perturb_histogram,

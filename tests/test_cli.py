@@ -73,6 +73,43 @@ class TestExperimentConfig:
             {"backend": dataclasses.replace(config.backend, model_name="other")},
         ):
             assert dataclasses.replace(config, **change).fingerprint() != config.fingerprint()
+        # Pinned: how the config is serialised must not move the identity of
+        # an existing run.
+        assert config.fingerprint() == (
+            "2976ac39f4cea7299310fe54106c958f53065d8768f76b42855a19e1bc4fbfb8")
+        # Every identity field, nested ones included, must move the
+        # fingerprint; a new field fails here until it is given a value.
+        http = {"kind": "http", "endpoint_url": "http://localhost:1/v1", "model_name": "m"}
+        changed = {
+            "dataset_path": "mock:8", "dataset_format": "csv", "n_train": 400,
+            "n_test": 100, "epsilon": 2.0, "epsilons": (1.0, 2.0), "mechanism": "gaussian",
+            "delta": 1e-6, "sensitivity_l1": 100.0, "sensitivity_l2": 10.0,
+            "vocab_limit": 400, "models": ("mnb",), "icl_shots": (0,), "seed": 43,
+            "epsilon_floor": 0.1, "sweep_seeds": 2, "fresh_generation_per_epsilon": True,
+            "mnb_alpha": 0.5, "svm_c_grid": (1.0,), "svm_val_fraction": 0.2,
+            "gen.temperature": 0.9, "gen.top_p": 0.9, "gen.max_tokens": 100,
+            "gen.num_shots": 2, "gen.batch_size": 8, "gen.total_records": 44,
+            "gen.seed": 1, "gen.max_calls": 10, "backend.kind": http,
+            "backend.endpoint_url": "http://localhost:1/v1", "backend.model_name": "m",
+            "backend.auth_env_var": "KEY", "backend.max_concurrent": 2,
+            "backend.retry_limit": 1,
+        }
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.name in ExperimentConfig._NON_IDENTITY_FIELDS:
+                continue
+            nested = getattr(config, f.name)
+            if not dataclasses.is_dataclass(nested):
+                variants = {f.name: {f.name: changed[f.name]}}
+            else:
+                variants = {}
+                for g in dataclasses.fields(nested):
+                    value = changed[f"{f.name}.{g.name}"]
+                    sub = value if isinstance(value, dict) else {g.name: value}
+                    variants[f"{f.name}.{g.name}"] = {
+                        f.name: dataclasses.replace(nested, **sub)}
+            for name, change in variants.items():
+                moved = dataclasses.replace(config, **change)
+                assert moved.fingerprint() != config.fingerprint(), name
 
     def test_fingerprint_ignores_output_locations(self):
         # where results land must not change what the run is
@@ -437,6 +474,18 @@ class TestCmdSweep:
         path = write_config(tmp_path)
         assert main(["sweep", "--config", str(path), "--epsilons", "1"]) == 1
         assert "at least two epsilon" in capsys.readouterr().err
+
+    def test_unusable_cache_dir_fails_in_a_stage(self, tmp_path, capsys):
+        # A cache directory under a regular file cannot be created; the
+        # error must be reported like any other stage failure, not escape.
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        path = write_config(tmp_path)
+        assert main(["sweep", "--config", str(path), "--epsilons", "0,1",
+                     "--models", "mnb", "--backend", "http",
+                     "--endpoint", "http://localhost:1/v1", "--model", "m",
+                     "--cache-dir", str(blocker / "cache")]) == 1
+        assert "error: stage 'generate-records':" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- golden outputs

@@ -14,16 +14,14 @@ from dpsynth.corpus import (
     NewsRecord,
     Origin,
     Split,
-    build_histogram,
     count_tokens,
-    histogram_fingerprint,
-    histogram_from_json,
     load_agnews,
     normalize_label,
     sample_split,
     save_jsonl,
     tokenize,
 )
+from dpsynth.dp import build_histogram, histogram_fingerprint, histogram_from_json
 from dpsynth.errors import (
     EmptyCorpus,
     EmptyFile,

@@ -5,21 +5,22 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dpsynth.corpus import ClassLabel, build_histogram
+from dpsynth.corpus import ClassLabel
 from dpsynth.dp import (
     DEFAULT_SENSITIVITY,
     BudgetLedger,
     Mechanism,
-    NoisyHistogram,
     PrivacyParams,
     SensitivityBound,
+    TokenHistogram,
+    build_histogram,
     charge,
     gaussian_from_uniforms,
     gaussian_sigma,
+    histogram_from_json,
     laplace_from_uniform,
     laplace_scale,
     noise_scale,
-    noisy_histogram_from_json,
     perturb_histogram,
     sample_gaussian,
     sample_laplace,
@@ -197,7 +198,7 @@ def test_perturb_histogram_deterministic():
     assert a.per_class == b.per_class
     assert a.vocab_limit == h.vocab_limit
     assert a.fingerprint == h.fingerprint
-    assert a.params_used == _params()
+    assert a.params == _params()
 
 
 def test_perturb_histogram_clamps_to_zero():
@@ -228,22 +229,22 @@ def test_perturb_histogram_validates_params_even_with_noise_fn():
 
 def test_noisy_histogram_rejects_negative_cells():
     with pytest.raises(ValueError):
-        NoisyHistogram(
+        TokenHistogram(
             per_class={ClassLabel.WORLD: {"aa": -1}},
             vocab_limit=5,
             fingerprint="unigram-lower-min2-v1:k5",
-            params_used=_params(),
-            sensitivity_used=SensitivityBound(1.0, 1.0),
+            params=_params(),
+            sensitivity=SensitivityBound(1.0, 1.0),
         )
 
 
 def test_noisy_histogram_json_roundtrip():
     h = _hist()
     noisy = perturb_histogram(h, _params(), SensitivityBound(2.0, 1.0), make_rng(1))
-    again = noisy_histogram_from_json(json.loads(json.dumps(noisy.to_json_dict())))
+    again = histogram_from_json(json.loads(json.dumps(noisy.to_json_dict())))
     assert again.per_class == noisy.per_class
-    assert again.params_used == noisy.params_used
-    assert again.sensitivity_used == noisy.sensitivity_used
+    assert again.params == noisy.params
+    assert again.sensitivity == noisy.sensitivity
 
 
 # ---------------------------------------------------------------- ledger

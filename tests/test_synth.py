@@ -19,11 +19,16 @@ from dpsynth.corpus import (
     NewsRecord,
     Origin,
     Split,
-    TokenHistogram,
-    build_histogram,
     tokenize,
 )
-from dpsynth.dp import Mechanism, PrivacyParams, SensitivityBound, perturb_histogram
+from dpsynth.dp import (
+    Mechanism,
+    PrivacyParams,
+    SensitivityBound,
+    TokenHistogram,
+    build_histogram,
+    perturb_histogram,
+)
 from dpsynth.errors import (
     AllRecordsMalformed,
     AuthMissing,
