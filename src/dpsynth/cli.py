@@ -338,6 +338,16 @@ def _external_data_note(config: ExperimentConfig) -> None:
         )
 
 
+def _calibration_warning(config: ExperimentConfig) -> None:
+    if config.gen.max_tokens > config.sensitivity_l1:
+        print(
+            f"warning: gen.max_tokens={config.gen.max_tokens} exceeds the assumed "
+            f"per-document contribution bound l1={config.sensitivity_l1}; "
+            "the privacy calibration no longer covers the longest documents",
+            file=sys.stderr,
+        )
+
+
 def _make_client(config: ExperimentConfig):
     return make_backend(
         config.backend,
@@ -409,13 +419,7 @@ def cmd_generate(config: ExperimentConfig) -> RunManifest:
     train, _test = _load_original(config)
 
     _external_data_note(config)
-    if config.gen.max_tokens > config.sensitivity_l1:
-        print(
-            f"warning: gen.max_tokens={config.gen.max_tokens} exceeds the assumed "
-            f"per-document contribution bound l1={config.sensitivity_l1}; "
-            "the privacy calibration no longer covers the longest documents",
-            file=sys.stderr,
-        )
+    _calibration_warning(config)
 
     with stage("generate-records"):
         client = _make_client(config)
@@ -596,6 +600,7 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
 
     train, test = _load_original(config)
     _external_data_note(config)
+    _calibration_warning(config)
 
     with stage("generate-records"):
         client = _make_client(config)

@@ -3,14 +3,15 @@
 Both expose ``complete(prompt, *, temperature, top_p, max_tokens, seed)``.
 The HTTP client sends OpenAI-style chat completion requests, retries
 transient failures with exponential backoff, and caches response bodies on
-disk keyed by hash(prompt, model, temperature, top_p, max_tokens). A key
-stores every response observed for that request in arrival order, and each
-client replays them one per call before going back to the network: repeats
-of one prompt inside a run stay fresh samples, while a rerun against a warm
-cache makes zero HTTP calls and reproduces the run byte for byte. The mock
-never touches the network; its ``seed`` argument is what makes repeated
-calls with the same prompt reproducible. The HTTP request schema has no seed
-field, so that client ignores the argument.
+disk keyed by hash(prompt, model, temperature, top_p, max_tokens). It posts
+with the standard library's ``urllib.request``, imported on the first
+request. A key stores every response observed for that request in arrival
+order, and each client replays them one per call before going back to the
+network: repeats of one prompt inside a run stay fresh samples, while a
+rerun against a warm cache makes zero HTTP calls and reproduces the run
+byte for byte. The mock never touches the network; its ``seed`` argument is
+what makes repeated calls with the same prompt reproducible. The HTTP
+request schema has no seed field, so that client ignores the argument.
 """
 from __future__ import annotations
 
@@ -65,23 +66,35 @@ def resolve_cache_dir(explicit: str | Path | None = None) -> Path:
 
 
 class ResponseCache:
-    """Content-addressed response store: one JSON file per request key.
+    """Content-addressed response store: one file per request key.
 
     A key's file holds the full sequence of response bodies observed for
-    that request. Every cache instance keeps a per-key cursor and hands out
-    each stored response at most once, in order, so a run that issues the
-    same request N times replays all N recorded responses instead of
-    collapsing them into one; ``put`` advances the cursor past the entry it
-    appends because the caller has already consumed that response. Writes
-    go through a temp file plus atomic replace and are serialized by a
-    lock.
+    that request. Its first line is the JSON object
+    ``{"request": ..., "responses": [...]}``; each later response is
+    appended as one more line holding a JSON string, so a put costs one
+    response's bytes rather than the whole file's. An instance reads a
+    key's file at most once, on the key's first ``get`` or ``put``, and
+    keeps its responses in memory from then on.
+
+    Every cache instance keeps a per-key cursor and hands out each stored
+    response at most once, in order, so a run that issues the same request
+    N times replays all N recorded responses instead of collapsing them
+    into one; ``put`` advances the cursor past the entry it adds because
+    the caller has already consumed that response. A key's first write
+    goes through a temp file plus atomic replace. A writer that dies
+    mid-append leaves a torn last line, which loading drops; the next put
+    to that key then rewrites the file the same atomic way. Reads and
+    writes are serialized by a lock.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        self._responses: dict[str, list[str]] = {}
         self._consumed: dict[str, int] = {}
+        # keys whose file on disk ends with the last response held in memory
+        self._appendable: set[str] = set()
 
     @staticmethod
     def key_for(prompt: str, model: str, temperature: float, top_p: float, max_tokens: int) -> str:
@@ -101,18 +114,31 @@ class ResponseCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def _responses(self, key: str) -> list[str]:
-        path = self._path(key)
-        if not path.exists():
+    def _load(self, key: str) -> list[str]:
+        """This key's responses, read from its file on first use only."""
+        if key not in self._responses:
+            self._responses[key] = self._read(key)
+        return self._responses[key]
+
+    def _read(self, key: str) -> list[str]:
+        try:
+            head, *appended = self._path(key).read_bytes().split(b"\n")
+        except FileNotFoundError:
             return []
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        return list(obj["responses"])
+        responses = json.loads(head)["responses"]
+        responses += map(json.loads, appended[:-1])
+        try:
+            responses += map(json.loads, appended[-1:])
+        except ValueError:  # a torn last line, left by a writer that died mid-append
+            return responses
+        self._appendable.add(key)
+        return responses
 
     def get(self, key: str) -> str | None:
         """Next unreplayed response for this key, or None when exhausted."""
         with self._lock:
+            responses = self._load(key)
             cursor = self._consumed.get(key, 0)
-            responses = self._responses(key)
             if cursor >= len(responses):
                 return None
             self._consumed[key] = cursor + 1
@@ -120,14 +146,22 @@ class ResponseCache:
 
     def put(self, key: str, request_body: dict, response_text: str) -> None:
         with self._lock:
-            responses = self._responses(key)
+            responses = self._load(key)
+            path = self._path(key)
+            if key in self._appendable:
+                self._appendable.remove(key)  # until the append is known to be whole
+                with path.open("a", encoding="utf-8") as f:
+                    f.write("\n" + json.dumps(response_text, ensure_ascii=False))
+            else:
+                payload = json.dumps(
+                    {"request": request_body, "responses": [*responses, response_text]},
+                    ensure_ascii=False,
+                )
+                tmp = path.with_suffix(".tmp")
+                tmp.write_text(payload, encoding="utf-8")
+                os.replace(tmp, path)
+            self._appendable.add(key)
             responses.append(response_text)
-            payload = json.dumps(
-                {"request": request_body, "responses": responses}, ensure_ascii=False
-            )
-            tmp = self._path(key).with_suffix(".tmp")
-            tmp.write_text(payload, encoding="utf-8")
-            os.replace(tmp, self._path(key))
             self._consumed[key] = len(responses)
 
 
@@ -158,17 +192,31 @@ class MockClient(_Counted):
 
 
 def _default_transport(url: str, headers: dict, body: dict) -> tuple[int, str]:
-    import requests  # only the HTTP backend's first request pays for it
-    resp = requests.post(url, headers=headers, json=body, timeout=120)
-    return resp.status_code, resp.text
+    # only the HTTP backend's first request pays for these imports
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+    from urllib.request import Request, urlopen
+
+    request = Request(url, data=json.dumps(body).encode("utf-8"), headers=headers)
+    try:
+        try:
+            with urlopen(request, timeout=120) as resp:
+                return resp.status, resp.read().decode("utf-8", "replace")
+        except HTTPError as exc:  # a non-2xx status; the caller decides whether to retry
+            with exc:
+                return exc.code, exc.read().decode("utf-8", "replace")
+    except HTTPException as exc:  # a malformed or cut-off response is not an OSError
+        raise ConnectionError(f"bad response: {exc!r}") from exc
 
 
 class HttpClient(_Counted):
     """Chat-completions client with retries, backoff, and a disk cache.
 
     ``transport`` and ``sleep`` are injectable for tests; the default
-    transport posts with ``requests``. A 2xx body must carry the completion
-    text at choices[0].message.content.
+    transport posts with ``urllib.request`` and returns ``(status, body)``
+    for every HTTP status, raising ``OSError`` only when no response
+    arrives whole. A 2xx body must carry the completion text at
+    choices[0].message.content.
     """
 
     kind = "http"
@@ -218,7 +266,7 @@ class HttpClient(_Counted):
             try:
                 status, text = self.transport(self.spec.endpoint_url, headers, body)
                 self._count("http_requests")
-            except OSError as exc:  # requests.RequestException subclasses OSError
+            except OSError as exc:  # URLError and socket timeouts are OSErrors
                 last_reason = f"transport error: {exc}"
                 continue
             if status in _RETRYABLE_STATUS:

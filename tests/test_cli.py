@@ -223,9 +223,10 @@ def test_cli_import_leaves_scipy_stats_and_special_unloaded():
 
 def test_scipy_and_requests_load_only_for_the_commands_that_use_them(tmp_path):
     # Start-up, a mock generate and an ICL-only evaluate build no sparse
-    # matrix and send no HTTP request, so they must not pay to import scipy
-    # or requests. The classifier commands load scipy themselves and write
-    # the same bytes as a process that had both packages loaded from the start.
+    # matrix and send no HTTP request, so they must not pay to import scipy,
+    # requests or the standard library's HTTP client. The classifier
+    # commands load scipy themselves and write the same bytes as a process
+    # that had those modules loaded from the start.
     import dpsynth
 
     src = str(Path(dpsynth.__file__).resolve().parents[1])
@@ -247,7 +248,8 @@ def test_scipy_and_requests_load_only_for_the_commands_that_use_them(tmp_path):
         "import json, sys\n"
         "import dpsynth, dpsynth.cli\n"
         "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'requests'))\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'requests')\n"
+        "                  or m in ('urllib.request', 'http.client'))\n"
         "seen = {'import': loaded()}\n"
         f"for name, argv in {argv('lazy')!r}.items():\n"
         "    assert dpsynth.cli.main(argv) == 0, name\n"
@@ -262,8 +264,12 @@ def test_scipy_and_requests_load_only_for_the_commands_that_use_them(tmp_path):
     assert seen["import"] == seen["generate"] == seen["evaluate-icl"] == []
     assert "scipy.sparse" in seen["evaluate-mnb-svm"]
     assert not any(m.startswith("requests") for m in seen["audit"])
+    assert not {"urllib.request", "http.client"} & set(seen["audit"])
 
-    # The same commands in a process that has both packages loaded already.
+    # The same commands in a process that has those modules loaded already.
+    import http.client  # noqa: F401
+    import urllib.request  # noqa: F401
+
     import requests  # noqa: F401
     import scipy.sparse  # noqa: F401
 
@@ -474,6 +480,13 @@ class TestCmdSweep:
         path = write_config(tmp_path)
         assert main(["sweep", "--config", str(path), "--epsilons", "1"]) == 1
         assert "at least two epsilon" in capsys.readouterr().err
+
+    def test_long_generation_budget_warning(self, tmp_path, capsys):
+        path = write_config(tmp_path, gen={"total_records": 16, "batch_size": 8,
+                                           "max_tokens": 300})
+        assert main(["sweep", "--config", str(path), "--epsilons", "0,1",
+                     "--models", "mnb"]) == 0
+        assert capsys.readouterr().err.count("max_tokens=300 exceeds") == 1
 
     def test_unusable_cache_dir_fails_in_a_stage(self, tmp_path, capsys):
         # A cache directory under a regular file cannot be created; the

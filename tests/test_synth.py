@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import sys
 import threading
 import time
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -530,6 +533,112 @@ class TestBackendCounters:
         assert client.stats == {"mock_calls": 0, "http_requests": n, "cache_hits": 0}
 
 
+@contextmanager
+def scripted_server(replies):
+    """Loopback chat endpoint that answers the n-th POST with replies[n].
+
+    A reply is a ``(status, body)`` pair, or raw bytes written in place of a
+    whole HTTP response. The last reply repeats once the script runs out.
+    """
+    received = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            received.append(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+            reply = replies[min(len(received), len(replies)) - 1]
+            if isinstance(reply, bytes):
+                self.wfile.write(reply)
+                return
+            status, body = reply
+            payload = body.encode("utf-8")
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    try:
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    except OSError as exc:
+        pytest.skip(f"cannot bind a local test server: {exc}")
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", received
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def loopback_client(tmp_path, url, retry_limit=3):
+    """An HttpClient on the real transport, with sleeps recorded, not slept."""
+    sleeps = []
+    spec = BackendSpec(kind="http", endpoint_url=url, model_name="m-test",
+                       retry_limit=retry_limit)
+    return make_backend(spec, cache_dir=tmp_path / "cache", sleep=sleeps.append), sleeps
+
+
+class TestDefaultTransport:
+    """The real transport against a loopback server: statuses, retries, text."""
+
+    def test_unavailable_then_ok_is_retried(self, tmp_path):
+        with scripted_server([(503, "busy"), (200, chat_body("ok"))]) as (url, received):
+            client, sleeps = loopback_client(tmp_path, url)
+            assert ask(client) == "ok"
+        assert len(received) == 2
+        assert sleeps == [0.5]
+        assert client.stats["http_requests"] == 2
+
+    def test_not_found_fails_after_one_request(self, tmp_path):
+        with scripted_server([(404, "no such model")]) as (url, received):
+            client, sleeps = loopback_client(tmp_path, url)
+            with pytest.raises(BackendUnavailable, match="status 404"):
+                ask(client)
+        assert len(received) == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("broken", [
+        b"NOT-HTTP\r\n\r\n",
+        b'HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\n{"choices"',
+        b"HTTP/1.0 404 Not Found\r\nContent-Length: 100\r\n\r\nno such",
+    ], ids=["bad-status-line", "cut-off-2xx-body", "cut-off-404-body"])
+    def test_malformed_response_is_retried(self, tmp_path, broken):
+        replies = [broken, (200, chat_body("ok"))]
+        with scripted_server(replies) as (url, received):
+            client, sleeps = loopback_client(tmp_path, url)
+            assert ask(client) == "ok"
+        assert len(received) == 2
+        assert sleeps == [0.5]
+
+    def test_closed_port_is_retried_up_to_the_limit(self, tmp_path):
+        with socket.socket() as sock:  # a port that was just free, now closed
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        client, sleeps = loopback_client(tmp_path, f"http://127.0.0.1:{port}/v1", retry_limit=2)
+        with pytest.raises(BackendUnavailable, match="after 3 attempts .*transport error"):
+            ask(client)
+        assert sleeps == [0.5, 1.0]
+        assert client.stats["http_requests"] == 0
+
+    def test_non_ascii_text_round_trips(self, tmp_path):
+        prompt = "Schreib über Zürich — 東京 ✓"
+        completion = "Zürich: «Straße» — 東京 ✓ \U0001F600"
+        body = json.dumps({"choices": [{"message": {"content": completion}}]},
+                          ensure_ascii=False)
+        with scripted_server([(200, body)]) as (url, received):
+            client, _ = loopback_client(tmp_path, url)
+            assert ask(client, prompt) == completion
+        assert received[0]["messages"][0]["content"] == prompt
+        replay, _ = loopback_client(tmp_path, "http://127.0.0.1:1/unused")
+        assert ask(replay, prompt) == completion
+        assert replay.stats["cache_hits"] == 1
+
+
 class TestResponseCache:
     def test_put_is_consumed_by_its_own_requester(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -566,6 +675,89 @@ class TestResponseCache:
             cache.put(ResponseCache.key_for(f"p{i}", "m", 0.7, 1.0, 100), {}, "x")
         assert list(tmp_path.glob("*.tmp")) == []
         assert len(list(tmp_path.glob("*.json"))) == 5
+
+    KEY = ResponseCache.key_for("p", "m", 0.7, 1.0, 100)
+
+    def test_single_object_file_replays_and_accepts_appends(self, tmp_path):
+        # the one-object layout, without a trailing newline, that every
+        # cache file had before responses were appended line by line
+        path = tmp_path / f"{self.KEY}.json"
+        path.write_text(json.dumps({"request": {"model": "m"}, "responses": ["r1", "r2"]},
+                                   ensure_ascii=False), encoding="utf-8")
+        cache = ResponseCache(tmp_path)
+        assert [cache.get(self.KEY), cache.get(self.KEY), cache.get(self.KEY)] == \
+            ["r1", "r2", None]
+        cache.put(self.KEY, {"model": "m"}, "r3 · Zürich\nline two")
+        reader = ResponseCache(tmp_path)
+        assert [reader.get(self.KEY) for _ in range(4)] == \
+            ["r1", "r2", "r3 · Zürich\nline two", None]
+
+    def test_appends_leave_the_first_line_as_written(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        for text in ("r1", "r2", "r3"):
+            cache.put(self.KEY, {"model": "m"}, text)
+        lines = (tmp_path / f"{self.KEY}.json").read_text(encoding="utf-8").split("\n")
+        assert json.loads(lines[0]) == {"request": {"model": "m"}, "responses": ["r1"]}
+        assert [json.loads(line) for line in lines[1:]] == ["r2", "r3"]
+
+    @pytest.mark.parametrize("torn", ['\n"r3 cut sho', "\n", '\n"caf\xc3'])
+    def test_torn_last_line_is_dropped_and_next_put_is_whole(self, tmp_path, torn):
+        writer = ResponseCache(tmp_path)
+        writer.put(self.KEY, {}, "r1")
+        writer.put(self.KEY, {}, "r2")
+        path = tmp_path / f"{self.KEY}.json"
+        with path.open("ab") as f:  # what a writer killed mid-append leaves
+            f.write(torn.encode("latin-1"))
+        cache = ResponseCache(tmp_path)
+        assert [cache.get(self.KEY), cache.get(self.KEY), cache.get(self.KEY)] == \
+            ["r1", "r2", None]
+        cache.put(self.KEY, {}, "r3")
+        cache.put(self.KEY, {}, "r4")
+        reader = ResponseCache(tmp_path)
+        assert [reader.get(self.KEY) for _ in range(5)] == ["r1", "r2", "r3", "r4", None]
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_key_file_is_read_once_per_instance(self, tmp_path):
+        writer = ResponseCache(tmp_path)
+        writer.put(self.KEY, {}, "r1")
+        writer.put(self.KEY, {}, "r2")
+        path = tmp_path / f"{self.KEY}.json"
+        cache = ResponseCache(tmp_path)
+        assert cache.get(self.KEY) == "r1"
+        # From here on the file is unreadable as a cache file: a get or put
+        # that read it again would fail or lose the responses.
+        path.write_bytes(b"\x00 not json")
+        assert cache.get(self.KEY) == "r2"
+        cache.put(self.KEY, {}, "r3")
+        assert cache.get(self.KEY) is None
+
+    def test_concurrent_puts_are_all_kept(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        threads_n, puts = 8, 50
+
+        def worker(t):
+            for i in range(puts):
+                cache.put(self.KEY, {}, f"t{t}-{i}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        reader = ResponseCache(tmp_path)
+        replayed = [reader.get(self.KEY) for _ in range(threads_n * puts + 1)]
+        assert replayed[-1] is None
+        assert sorted(replayed[:-1]) == sorted(
+            f"t{t}-{i}" for t in range(threads_n) for i in range(puts))
+        for t in range(threads_n):  # each thread's puts keep their order
+            mine = [r for r in replayed[:-1] if r.startswith(f"t{t}-")]
+            assert mine == [f"t{t}-{i}" for i in range(puts)]
 
 
 # ---------------------------------------------------------------- demo selection and the loop
