@@ -15,6 +15,7 @@ request schema has no seed field, so that client ignores the argument.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -81,10 +82,11 @@ class ResponseCache:
     N times replays all N recorded responses instead of collapsing them
     into one; ``put`` advances the cursor past the entry it adds because
     the caller has already consumed that response. A key's first write
-    goes through a temp file plus atomic replace. A writer that dies
-    mid-append leaves a torn last line, which loading drops; the next put
-    to that key then rewrites the file the same atomic way. Reads and
-    writes are serialized by a lock.
+    goes through a temp file plus atomic replace. Every append starts a
+    new line, so a writer that dies mid-append leaves a fragment on a line
+    of its own; loading skips any line that is not whole JSON, and later
+    appends land after the fragment. Reads and writes are serialized by a
+    lock.
     """
 
     def __init__(self, directory: str | Path):
@@ -93,8 +95,6 @@ class ResponseCache:
         self._lock = threading.Lock()
         self._responses: dict[str, list[str]] = {}
         self._consumed: dict[str, int] = {}
-        # keys whose file on disk ends with the last response held in memory
-        self._appendable: set[str] = set()
 
     @staticmethod
     def key_for(prompt: str, model: str, temperature: float, top_p: float, max_tokens: int) -> str:
@@ -122,16 +122,16 @@ class ResponseCache:
 
     def _read(self, key: str) -> list[str]:
         try:
-            head, *appended = self._path(key).read_bytes().split(b"\n")
+            lines = self._path(key).read_bytes().split(b"\n")
         except FileNotFoundError:
             return []
-        responses = json.loads(head)["responses"]
-        responses += map(json.loads, appended[:-1])
-        try:
-            responses += map(json.loads, appended[-1:])
-        except ValueError:  # a torn last line, left by a writer that died mid-append
-            return responses
-        self._appendable.add(key)
+        responses = []
+        for line in lines:
+            try:
+                item = json.loads(line)
+            except ValueError:  # a torn fragment, left by a writer that died mid-append
+                continue
+            responses += item["responses"] if isinstance(item, dict) else [item]
         return responses
 
     def get(self, key: str) -> str | None:
@@ -148,19 +148,17 @@ class ResponseCache:
         with self._lock:
             responses = self._load(key)
             path = self._path(key)
-            if key in self._appendable:
-                self._appendable.remove(key)  # until the append is known to be whole
+            if responses:
                 with path.open("a", encoding="utf-8") as f:
                     f.write("\n" + json.dumps(response_text, ensure_ascii=False))
             else:
                 payload = json.dumps(
-                    {"request": request_body, "responses": [*responses, response_text]},
+                    {"request": request_body, "responses": [response_text]},
                     ensure_ascii=False,
                 )
                 tmp = path.with_suffix(".tmp")
                 tmp.write_text(payload, encoding="utf-8")
                 os.replace(tmp, path)
-            self._appendable.add(key)
             responses.append(response_text)
             self._consumed[key] = len(responses)
 
@@ -191,6 +189,16 @@ class MockClient(_Counted):
         return mock_generation_response(prompt_hash, seed, requested_count(prompt, fallback=8))
 
 
+@functools.cache
+def _https_opener():
+    """One opener for every HTTPS request, sharing one TLS context: building
+    a context loads the CA bundle, which costs tens of milliseconds of CPU."""
+    import ssl
+    from urllib.request import HTTPSHandler, build_opener
+
+    return build_opener(HTTPSHandler(context=ssl.create_default_context()))
+
+
 def _default_transport(url: str, headers: dict, body: dict) -> tuple[int, str]:
     # only the HTTP backend's first request pays for these imports
     from http.client import HTTPException
@@ -198,9 +206,10 @@ def _default_transport(url: str, headers: dict, body: dict) -> tuple[int, str]:
     from urllib.request import Request, urlopen
 
     request = Request(url, data=json.dumps(body).encode("utf-8"), headers=headers)
+    open_url = _https_opener().open if request.type == "https" else urlopen
     try:
         try:
-            with urlopen(request, timeout=120) as resp:
+            with open_url(request, timeout=120) as resp:
                 return resp.status, resp.read().decode("utf-8", "replace")
         except HTTPError as exc:  # a non-2xx status; the caller decides whether to retry
             with exc:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import socket
+import ssl
+import subprocess
 import sys
 import threading
 import time
@@ -42,6 +45,7 @@ from dpsynth.errors import (
     VocabMismatch,
 )
 from dpsynth.rngutil import make_rng, subseed
+from dpsynth.synth import backends
 from dpsynth.synth.backends import (
     BackendSpec,
     HttpClient,
@@ -534,11 +538,12 @@ class TestBackendCounters:
 
 
 @contextmanager
-def scripted_server(replies):
+def scripted_server(replies, tls=None):
     """Loopback chat endpoint that answers the n-th POST with replies[n].
 
     A reply is a ``(status, body)`` pair, or raw bytes written in place of a
     whole HTTP response. The last reply repeats once the script runs out.
+    With ``tls``, a server-side ``ssl.SSLContext``, it serves HTTPS.
     """
     received = []
 
@@ -564,10 +569,13 @@ def scripted_server(replies):
         server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     except OSError as exc:
         pytest.skip(f"cannot bind a local test server: {exc}")
+    if tls is not None:
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
+    scheme = "http" if tls is None else "https"
     try:
-        yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", received
+        yield f"{scheme}://127.0.0.1:{server.server_address[1]}/v1/chat/completions", received
     finally:
         server.shutdown()
         server.server_close()
@@ -581,6 +589,22 @@ def loopback_client(tmp_path, url, retry_limit=3):
     spec = BackendSpec(kind="http", endpoint_url=url, model_name="m-test",
                        retry_limit=retry_limit)
     return make_backend(spec, cache_dir=tmp_path / "cache", sleep=sleeps.append), sleeps
+
+
+def self_signed_cert(directory):
+    """A certificate and key for 127.0.0.1, made with the openssl command."""
+    if shutil.which("openssl") is None:
+        pytest.skip("no openssl command to make a test certificate")
+    cert, key = directory / "cert.pem", directory / "key.pem"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1",
+         "-nodes", "-days", "2", "-subj", "/CN=127.0.0.1",
+         "-addext", "subjectAltName=IP:127.0.0.1",
+         "-addext", "basicConstraints=critical,CA:TRUE",
+         "-keyout", str(key), "-out", str(cert)],
+        check=True, capture_output=True,
+    )
+    return cert, key
 
 
 class TestDefaultTransport:
@@ -637,6 +661,32 @@ class TestDefaultTransport:
         replay, _ = loopback_client(tmp_path, "http://127.0.0.1:1/unused")
         assert ask(replay, prompt) == completion
         assert replay.stats["cache_hits"] == 1
+
+    def test_https_requests_share_one_tls_context(self, tmp_path, monkeypatch):
+        cert, key = self_signed_cert(tmp_path)
+        server_tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        server_tls.load_cert_chain(cert, key)
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert))  # trust the test certificate
+        built = []
+        create = ssl.create_default_context
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return create(*args, **kwargs)
+
+        monkeypatch.setattr(ssl, "create_default_context", counted)
+        backends._https_opener.cache_clear()
+        try:
+            replies = [(200, chat_body("one")), (200, chat_body("two")), (200, chat_body("3"))]
+            with scripted_server(replies, tls=server_tls) as (url, received):
+                client, sleeps = loopback_client(tmp_path, url)
+                assert [ask(client, p) for p in ("a", "b", "c")] == ["one", "two", "3"]
+        finally:
+            backends._https_opener.cache_clear()
+        assert len(received) == 3
+        assert sleeps == []
+        # building a context loads the CA bundle; three requests build one
+        assert len(built) == 1
 
 
 class TestResponseCache:
@@ -716,6 +766,28 @@ class TestResponseCache:
         reader = ResponseCache(tmp_path)
         assert [reader.get(self.KEY) for _ in range(5)] == ["r1", "r2", "r3", "r4", None]
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_torn_line_before_later_appends_is_skipped(self, tmp_path):
+        # Two commands share the cache and both have loaded the key; one is
+        # killed mid-append, then the other appends after its fragment.
+        first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
+        first.put(self.KEY, {}, "r1")
+        assert second.get(self.KEY) == "r1"
+        with (tmp_path / f"{self.KEY}.json").open("ab") as f:
+            f.write(b'\n"r2 from the killed wri')
+        second.put(self.KEY, {}, "r3")
+        second.put(self.KEY, {}, "r4")
+        reader = ResponseCache(tmp_path)
+        assert [reader.get(self.KEY) for _ in range(4)] == ["r1", "r3", "r4", None]
+
+    def test_file_deleted_mid_run_keeps_later_responses(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        cache.put(self.KEY, {}, "r1")
+        (tmp_path / f"{self.KEY}.json").unlink()
+        cache.put(self.KEY, {}, "r2")  # appends to a file that has no first line
+        cache.put(self.KEY, {}, "r3")
+        reader = ResponseCache(tmp_path)
+        assert [reader.get(self.KEY) for _ in range(3)] == ["r2", "r3", None]
 
     def test_key_file_is_read_once_per_instance(self, tmp_path):
         writer = ResponseCache(tmp_path)
