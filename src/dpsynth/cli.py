@@ -59,6 +59,7 @@ from .evaluation import (
     train_svm,
     transform_corpus,
 )
+from .evaluation.icl import VALID_SHOTS
 from .audit import collect_confidences, compare_leakage, threshold_attack
 from .rngutil import sub_rng, subseed
 from .synth import (
@@ -71,7 +72,6 @@ from .synth import (
 )
 
 VALID_MODELS = ("mnb", "svm", "icl")
-VALID_SHOTS = (0, 2, 4)
 
 
 # ---------------------------------------------------------------- config
@@ -180,6 +180,9 @@ def _json_fields(items: list) -> dict:
 
 
 def _merge_config_values(file_values: dict, overrides: dict) -> ExperimentConfig:
+    for key in ("backend", "gen"):
+        if not isinstance(file_values.get(key, {}), dict):
+            raise ValueError(f"config key {key!r} must be a JSON object")
     merged = dict(file_values)
     for key, value in overrides.items():
         if key in ("backend", "gen") and isinstance(value, dict):
@@ -230,27 +233,18 @@ class RunManifest:
     started_at: str
     finished_at: str
     outputs: dict                      # artifact name -> path (str)
-    budget: BudgetLedger
+    budget_ledger: dict
     backend_stats: dict
     notes: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_fingerprint": self.config_fingerprint,
-            "config": self.config,
-            "tool_version": self.tool_version,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "outputs": self.outputs,
-            "budget_ledger": self.budget.to_json_dict(),
-            "backend_stats": self.backend_stats,
-            "notes": self.notes,
-        }
 
 
 def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+
+
+def _write_json(path: Path, obj, sort_keys: bool = True) -> Path:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n", encoding="utf-8")
+    return path
 
 
 def _finish_manifest(
@@ -271,13 +265,11 @@ def _finish_manifest(
         started_at=started_at,
         finished_at=_utc_now(),
         outputs={name: str(p) for name, p in outputs.items()},
-        budget=ledger,
+        budget_ledger=ledger.to_json_dict(),
         backend_stats=dict(backend_stats),
         notes=notes,
     )
-    path = out_dir / f"manifest_{command}.json"
-    path.write_text(json.dumps(manifest.to_json_dict(), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    _write_json(out_dir / f"manifest_{command}.json", dataclasses.asdict(manifest))
     return manifest
 
 
@@ -440,11 +432,7 @@ def cmd_generate(config: ExperimentConfig) -> RunManifest:
             jsonl_path = out_dir / "synthetic.jsonl"
             save_jsonl(synthetic, jsonl_path)
             created.append(jsonl_path)
-            hist_path = out_dir / "histogram_noisy.json"
-            hist_path.write_text(
-                json.dumps(noisy.to_json_dict(), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            hist_path = _write_json(out_dir / "histogram_noisy.json", noisy.to_json_dict())
             created.append(hist_path)
             manifest = _finish_manifest(
                 "generate", config, started_at, out_dir,
@@ -480,6 +468,22 @@ def _fit(config: ExperimentConfig, name: str, corpus: Corpus, seed: int = 0):
                                val_fraction=config.svm_val_fraction, seed=seed)
 
 
+def _score(config: ExperimentConfig, name: str, corpus: Corpus, test: Corpus,
+           seed: int, source: str, fingerprint: str = "") -> EvalReport:
+    """Fit ``name`` on ``corpus`` and score it on ``test``. The training
+    stream is ``subseed(seed, "train", name, source)``."""
+    features, model = _fit(config, name, corpus, subseed(seed, "train", name, source))
+    return evaluate(predict(model, transform_corpus(features, test)), test, model_tag=name,
+                    train_source=source, config_fingerprint=fingerprint)
+
+
+def _icl_config(config: ExperimentConfig, shots: int, source: str, seed: int,
+                *labels) -> IclConfig:
+    """ICL settings whose stream is ``subseed(seed, "icl", shots, *labels)``."""
+    return IclConfig(shots=shots, demo_source=source, backend=config.backend,
+                     seed=subseed(seed, "icl", shots, *labels))
+
+
 def _icl_reports(
     config: ExperimentConfig,
     client,
@@ -492,19 +496,14 @@ def _icl_reports(
     for shots in config.icl_shots:
         if shots == 0:
             # demo-free, so one run covers both table columns
-            icl_cfg = IclConfig(shots=0, demo_source="Original",
-                                backend=config.backend,
-                                seed=subseed(config.seed, "icl", shots))
-            rep = icl_evaluate(icl_cfg, train, test, client=client,
-                               config_fingerprint=fingerprint)
+            rep = icl_evaluate(_icl_config(config, 0, "Original", config.seed), train, test,
+                               client=client, config_fingerprint=fingerprint)
             reports.append(rep)
             reports.append(dataclasses.replace(rep, train_source="Synthetic",
                                                n_unparseable=0))
             continue
         for source, demo_corpus in (("Original", train), ("Synthetic", synthetic)):
-            icl_cfg = IclConfig(shots=shots, demo_source=source,
-                                backend=config.backend,
-                                seed=subseed(config.seed, "icl", shots, source))
+            icl_cfg = _icl_config(config, shots, source, config.seed, source)
             reports.append(icl_evaluate(icl_cfg, demo_corpus, test, client=client,
                                         config_fingerprint=fingerprint))
     return reports
@@ -534,12 +533,7 @@ def cmd_evaluate(config: ExperimentConfig, synthetic_file: str | Path) -> RunMan
             continue
         with stage(f"train-{name}"):
             for source, corpus in (("Original", train), ("Synthetic", synthetic)):
-                features, model = _fit(config, name, corpus,
-                                       subseed(config.seed, "train", name, source))
-                predictions = predict(model, transform_corpus(features, test))
-                del features, model  # before the next fit
-                reports.append(evaluate(predictions, test, model_tag=name,
-                                        train_source=source, config_fingerprint=fp))
+                reports.append(_score(config, name, corpus, test, config.seed, source, fp))
     if "icl" in config.models:
         _external_data_note(config)
         with stage("icl"):
@@ -556,11 +550,8 @@ def cmd_evaluate(config: ExperimentConfig, synthetic_file: str | Path) -> RunMan
             sections.append(render_icl_table(icl))
         markdown = "\n\n".join(sections) + "\n"
 
-        json_path = out_dir / "evaluation.json"
-        json_path.write_text(
-            json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n",
-            encoding="utf-8",
-        )
+        json_path = _write_json(out_dir / "evaluation.json",
+                                [r.to_json_dict() for r in reports], sort_keys=False)
         md_path = out_dir / "evaluation.md"
         md_path.write_text(markdown, encoding="utf-8")
 
@@ -595,6 +586,8 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
     with stage("config"):
         if len(config.epsilons) < 2:
             raise ValueError("a sweep needs at least two epsilon values")
+        if len(set(config.epsilons)) < len(config.epsilons):
+            raise ValueError(f"a sweep cannot take repeated epsilon values: {config.epsilons}")
         if not config.models:
             raise NoModelsRequested("sweep needs at least one of mnb, svm, icl")
 
@@ -625,17 +618,10 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
                 with stage(f"evaluate-{name}"):
                     if name == "icl":
                         shots = max(config.icl_shots) if config.icl_shots else 4
-                        icl_cfg = IclConfig(shots=shots, demo_source="Synthetic",
-                                            backend=config.backend,
-                                            seed=subseed(rep_seed, "icl", shots, "Synthetic"))
+                        icl_cfg = _icl_config(config, shots, "Synthetic", rep_seed, "Synthetic")
                         report = icl_evaluate(icl_cfg, synthetic, test, client=client)
                     else:
-                        features, model = _fit(config, name, synthetic, subseed(
-                            rep_seed, "train", name, "Synthetic"))
-                        predictions = predict(model, transform_corpus(features, test))
-                        del features, model  # before the next release
-                        report = evaluate(predictions, test, model_tag=name,
-                                          train_source="Synthetic")
+                        report = _score(config, name, synthetic, test, rep_seed, "Synthetic")
                 accuracies.setdefault((name, requested), []).append(report.accuracy)
             del synthetic  # with its cached count matrix, before the next release
 
@@ -659,8 +645,7 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
                 })
         markdown = render_sweep_table(rows) + "\n"
 
-        json_path = out_dir / "sweep.json"
-        json_path.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
+        json_path = _write_json(out_dir / "sweep.json", rows, sort_keys=False)
         md_path = out_dir / "sweep.md"
         md_path.write_text(markdown, encoding="utf-8")
         manifest = _finish_manifest(
@@ -709,11 +694,7 @@ def cmd_audit(config: ExperimentConfig, synthetic_file: str | Path) -> RunManife
         report = compare_leakage(baseline, private)
 
     with stage("report"):
-        json_path = out_dir / "audit.json"
-        json_path.write_text(
-            json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        json_path = _write_json(out_dir / "audit.json", report.to_json_dict())
         ledger, known = _ledger_for_input(synthetic_file)
         manifest = _finish_manifest(
             "audit", config, started_at, out_dir,
@@ -733,124 +714,85 @@ def cmd_audit(config: ExperimentConfig, synthetic_file: str | Path) -> RunManife
 
 # ---------------------------------------------------------------- arg parsing
 
-def _add_shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--backend", choices=["mock", "http"])
-    p.add_argument("--endpoint", help="http backend endpoint URL")
-    p.add_argument("--model", help="http backend model name")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--mechanism", choices=["laplace", "gaussian"])
-    p.add_argument("--delta", type=float)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--dataset", help="AGNews file path or mock:<N>")
-    p.add_argument("--n-train", type=int, dest="n_train")
-    p.add_argument("--n-test", type=int, dest="n_test")
-    p.add_argument("--vocab-limit", type=int, dest="vocab_limit")
-    p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--cache-dir", dest="cache_dir")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The four subcommands. Each flag's dest is the config key it sets,
+    dotted inside ``backend`` or ``gen``; a flag left off sets nothing."""
     parser = argparse.ArgumentParser(
         prog="dpsynth",
         description="Privacy-preserving synthetic news text: generate, evaluate, sweep, audit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {
+        name: sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        for name, text in (("generate", "produce a noised synthetic corpus"),
+                           ("evaluate", "score models on original vs synthetic"),
+                           ("sweep", "accuracy across epsilon values"),
+                           ("audit", "membership-inference comparison"))
+    }
 
-    p_gen = sub.add_parser("generate", help="produce a noised synthetic corpus")
-    _add_shared_flags(p_gen)
-    p_gen.add_argument("--total-records", type=int, dest="total_records")
-    p_gen.add_argument("--batch-size", type=int, dest="batch_size")
-    p_gen.add_argument("--num-shots", type=int, dest="num_shots")
+    def flag(names: str, *args, **kwargs) -> None:
+        for name in names.split():
+            commands[name].add_argument(*args, **kwargs)
 
-    p_eval = sub.add_parser("evaluate", help="score models on original vs synthetic")
-    _add_shared_flags(p_eval)
-    p_eval.add_argument("--synthetic", required=True, help="synthetic JSONL file")
-    p_eval.add_argument("--models", help="comma list from mnb,svm,icl")
-    p_eval.add_argument("--icl-shots", dest="icl_shots", help="comma list from 0,2,4")
-
-    p_sweep = sub.add_parser("sweep", help="accuracy across epsilon values")
-    _add_shared_flags(p_sweep)
-    p_sweep.add_argument("--epsilons", help="comma list, e.g. 0,0.5,1,10")
-    p_sweep.add_argument("--models", help="comma list from mnb,svm,icl")
-    p_sweep.add_argument("--sweep-seeds", type=int, dest="sweep_seeds")
-    p_sweep.add_argument("--fresh-generation", action="store_true",
-                         dest="fresh_generation")
-    p_sweep.add_argument("--total-records", type=int, dest="total_records")
-    p_sweep.add_argument("--batch-size", type=int, dest="batch_size")
-
-    p_audit = sub.add_parser("audit", help="membership-inference comparison")
-    _add_shared_flags(p_audit)
-    p_audit.add_argument("--synthetic", required=True, help="synthetic JSONL file")
-
+    every = " ".join(commands)
+    flag(every, "--config", help="JSON config file")
+    flag(every, "--seed", type=int)
+    flag(every, "--backend", choices=["mock", "http"], dest="backend.kind")
+    flag(every, "--endpoint", dest="backend.endpoint_url", help="http backend endpoint URL")
+    flag(every, "--model", dest="backend.model_name", help="http backend model name")
+    flag(every, "--epsilon", type=float)
+    flag(every, "--mechanism", choices=["laplace", "gaussian"])
+    flag(every, "--delta", type=float)
+    flag(every, "--out", dest="output_dir", help="output directory")
+    flag(every, "--dataset", dest="dataset_path", help="AGNews file path or mock:<N>")
+    flag(every, "--n-train", type=int)
+    flag(every, "--n-test", type=int)
+    flag(every, "--vocab-limit", type=int)
+    flag(every, "--no-cache", action="store_false", dest="cache_enabled")
+    flag(every, "--cache-dir")
+    flag("generate sweep", "--total-records", type=int, dest="gen.total_records")
+    flag("generate sweep", "--batch-size", type=int, dest="gen.batch_size")
+    flag("generate", "--num-shots", type=int, dest="gen.num_shots")
+    flag("evaluate audit", "--synthetic", required=True, help="synthetic JSONL file")
+    flag("evaluate sweep", "--models", help="comma list from mnb,svm,icl")
+    flag("evaluate", "--icl-shots", help="comma list from 0,2,4")
+    flag("sweep", "--epsilons", help="comma list, e.g. 0,0.5,1,10")
+    flag("sweep", "--sweep-seeds", type=int)
+    flag("sweep", "--fresh-generation", action="store_true",
+         dest="fresh_generation_per_epsilon")
     return parser
 
 
-def _overrides_from_args(args: argparse.Namespace) -> dict:
+# The comma-list flags and how each item is read.
+_LIST_ITEMS = {"models": str.strip, "icl_shots": int, "epsilons": float}
+
+
+def _overrides_from_args(args: dict) -> dict:
+    """Config overrides from the flags given, keyed as the config file is."""
     over: dict = {}
-    simple = {
-        "seed": "seed",
-        "epsilon": "epsilon",
-        "mechanism": "mechanism",
-        "delta": "delta",
-        "out": "output_dir",
-        "dataset": "dataset_path",
-        "n_train": "n_train",
-        "n_test": "n_test",
-        "vocab_limit": "vocab_limit",
-        "cache_dir": "cache_dir",
-        "sweep_seeds": "sweep_seeds",
-    }
-    for attr, key in simple.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            over[key] = value
-
-    backend: dict = {}
-    if getattr(args, "backend", None):
-        backend["kind"] = args.backend
-    if getattr(args, "endpoint", None):
-        backend["endpoint_url"] = args.endpoint
-    if getattr(args, "model", None):
-        backend["model_name"] = args.model
-    if backend:
-        over["backend"] = backend
-
-    gen: dict = {}
-    for attr in ("total_records", "batch_size", "num_shots"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            gen[attr] = value
-    if gen:
-        over["gen"] = gen
-
-    if getattr(args, "no_cache", False):
-        over["cache_enabled"] = False
-    if getattr(args, "fresh_generation", False):
-        over["fresh_generation_per_epsilon"] = True
-    if getattr(args, "models", None):
-        over["models"] = tuple(m.strip() for m in args.models.split(",") if m.strip())
-    if getattr(args, "icl_shots", None):
-        over["icl_shots"] = tuple(int(s) for s in args.icl_shots.split(",") if s.strip())
-    if getattr(args, "epsilons", None):
-        over["epsilons"] = tuple(float(e) for e in args.epsilons.split(",") if e.strip())
+    for key, value in args.items():
+        if key in _LIST_ITEMS:
+            value = tuple(_LIST_ITEMS[key](v) for v in value.split(",") if v.strip())
+        section, _, name = key.rpartition(".")
+        (over.setdefault(section, {}) if section else over)[name] = value
     return over
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command, config_path = args.pop("command"), args.pop("config", None)
+    synthetic = args.pop("synthetic", None)
     try:
         with stage("config"):
-            config = load_config(args.config, _overrides_from_args(args))
-        if args.command == "generate":
+            config = load_config(config_path, _overrides_from_args(args))
+        if command == "generate":
             cmd_generate(config)
-        elif args.command == "evaluate":
-            cmd_evaluate(config, args.synthetic)
-        elif args.command == "sweep":
+        elif command == "evaluate":
+            cmd_evaluate(config, synthetic)
+        elif command == "sweep":
             cmd_sweep(config)
         else:
-            cmd_audit(config, args.synthetic)
+            cmd_audit(config, synthetic)
     except DpSynthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from ..corpus import LABELS, ClassLabel, Corpus, NewsRecord, normalize_label
 from ..errors import DemoCountMismatch, EmptyCorpus, MissingClassDemo, UnknownLabel
 from ..rngutil import make_rng, subseed
-from ..synth.backends import BackendSpec, make_backend
+from ..synth.backends import BackendSpec
 from ..synth.prompts import build_classification_prompt
 from .report import EvalReport, evaluate
 
@@ -110,7 +110,7 @@ def icl_evaluate(
     demo_corpus: Corpus,
     test: Corpus,
     *,
-    client=None,
+    client,
     config_fingerprint: str = "",
 ) -> EvalReport:
     """Accuracy of backend label predictions over the test corpus."""
@@ -123,8 +123,6 @@ def icl_evaluate(
                 f"demo corpus origins {sorted(origins)} do not match "
                 f"demo_source {config.demo_source!r}"
             )
-    if client is None:
-        client = make_backend(config.backend)
     demos = select_icl_demos(config, demo_corpus)
 
     def ask(query: NewsRecord) -> ClassLabel | None:

@@ -82,11 +82,12 @@ class ResponseCache:
     N times replays all N recorded responses instead of collapsing them
     into one; ``put`` advances the cursor past the entry it adds because
     the caller has already consumed that response. A key's first write
-    goes through a temp file plus atomic replace. Every append starts a
-    new line, so a writer that dies mid-append leaves a fragment on a line
-    of its own; loading skips any line that is not whole JSON, and later
-    appends land after the fragment. Reads and writes are serialized by a
-    lock.
+    goes through a temp file of the writer's own plus atomic replace, so
+    two commands writing one new key at once never rename each other's
+    temp file away. Every append starts a new line, so a writer that dies
+    mid-append leaves a fragment on a line of its own; loading skips any
+    line that is not whole JSON, and later appends land after the
+    fragment. Reads and writes are serialized by a lock.
     """
 
     def __init__(self, directory: str | Path):
@@ -156,7 +157,7 @@ class ResponseCache:
                     {"request": request_body, "responses": [response_text]},
                     ensure_ascii=False,
                 )
-                tmp = path.with_suffix(".tmp")
+                tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
                 tmp.write_text(payload, encoding="utf-8")
                 os.replace(tmp, path)
             responses.append(response_text)

@@ -10,7 +10,6 @@ from dataclasses import asdict, dataclass, replace
 from ..corpus import LABELS, ClassLabel, Corpus, NewsRecord, Origin, Split, normalize_label
 from ..errors import AllRecordsMalformed, MissingClassDemo, QuotaUnreachable, UnknownLabel
 from ..rngutil import make_rng, subseed
-from .backends import BackendSpec, make_backend
 from .prompts import build_generation_prompt
 
 
@@ -125,13 +124,7 @@ def parse_synth_records(raw: str) -> tuple[list[NewsRecord], int]:
 
 
 def generate_batch(backend, prompt: str, config: GenerationConfig) -> SynthBatch:
-    """Request one batch from the backend and parse it.
-
-    ``backend`` may be a BackendSpec (a client is constructed) or an already
-    constructed client exposing ``complete``.
-    """
-    if isinstance(backend, BackendSpec):
-        backend = make_backend(backend)
+    """Request one batch from a client exposing ``complete`` and parse it."""
     raw = backend.complete(
         prompt,
         temperature=config.temperature,
@@ -194,8 +187,6 @@ def run_generation(original: Corpus, backend, config: GenerationConfig) -> Corpu
     derived batch seed so a keyed mock backend produces fresh records.
     Raises QuotaUnreachable once the call cap is hit.
     """
-    if isinstance(backend, BackendSpec):
-        backend = make_backend(backend)
     demos = select_demos(original, config.num_shots, config.seed)
     quota = config.total_records // 4
     buckets: dict[ClassLabel, int] = {label: 0 for label in LABELS}

@@ -2,6 +2,7 @@
 backend, manifest contents, HTTP replay, and failure modes."""
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -21,6 +22,7 @@ import dpsynth.cli as cli_module
 import dpsynth.corpus as corpus_module
 from dpsynth.cli import (
     ExperimentConfig,
+    build_parser,
     cmd_audit,
     cmd_evaluate,
     cmd_generate,
@@ -184,6 +186,106 @@ class TestLoadConfig:
         config = load_config(None, {"seed": 99})
         assert config.seed == 99
         assert config.epsilon == ExperimentConfig().epsilon
+
+    @pytest.mark.parametrize("section, value, argv", [
+        ("backend", "http", []),
+        ("backend", None, []),
+        ("backend", 5, []),
+        ("backend", "http", ["--backend", "mock"]),
+        ("gen", [1], []),
+        ("gen", None, ["--batch-size", "4"]),
+    ])
+    def test_sections_that_are_not_objects_fail_in_the_config_stage(
+            self, tmp_path, capsys, section, value, argv):
+        path = write_config(tmp_path, **{section: value})
+        assert main(["generate", "--config", str(path), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'config':")
+        assert f"{section!r} must be a JSON object" in err
+
+
+# Every flag of every subcommand: the config key it sets and the value that
+# key then holds. FLAG_FILE gives each of these keys another value.
+ALL_COMMANDS = "generate evaluate sweep audit"
+FLAG_TABLE = [
+    (ALL_COMMANDS, ["--seed", "7"], "seed", 7),
+    (ALL_COMMANDS, ["--backend", "mock"], "backend.kind", "mock"),
+    (ALL_COMMANDS, ["--endpoint", "http://flag/v1"], "backend.endpoint_url", "http://flag/v1"),
+    (ALL_COMMANDS, ["--model", "flag-model"], "backend.model_name", "flag-model"),
+    (ALL_COMMANDS, ["--epsilon", "2.5"], "epsilon", 2.5),
+    (ALL_COMMANDS, ["--mechanism", "laplace"], "mechanism", "laplace"),
+    (ALL_COMMANDS, ["--delta", "1e-6"], "delta", 1e-6),
+    (ALL_COMMANDS, ["--out", "flag-out"], "output_dir", "flag-out"),
+    (ALL_COMMANDS, ["--dataset", "mock:8"], "dataset_path", "mock:8"),
+    (ALL_COMMANDS, ["--n-train", "40"], "n_train", 40),
+    (ALL_COMMANDS, ["--n-test", "12"], "n_test", 12),
+    (ALL_COMMANDS, ["--vocab-limit", "99"], "vocab_limit", 99),
+    (ALL_COMMANDS, ["--no-cache"], "cache_enabled", False),
+    (ALL_COMMANDS, ["--cache-dir", "flag-cache"], "cache_dir", "flag-cache"),
+    ("generate sweep", ["--total-records", "44"], "gen.total_records", 44),
+    ("generate sweep", ["--batch-size", "3"], "gen.batch_size", 3),
+    ("generate", ["--num-shots", "2"], "gen.num_shots", 2),
+    ("evaluate sweep", ["--models", "svm, icl"], "models", ("svm", "icl")),
+    ("evaluate", ["--icl-shots", "4,0"], "icl_shots", (0, 4)),
+    ("sweep", ["--epsilons", "0.5,2"], "epsilons", (0.5, 2.0)),
+    ("sweep", ["--sweep-seeds", "3"], "sweep_seeds", 3),
+    ("sweep", ["--fresh-generation"], "fresh_generation_per_epsilon", True),
+]
+FLAG_FILE = {
+    "seed": 5, "epsilon": 3.0, "mechanism": "gaussian", "delta": 1e-4,
+    "output_dir": "file-out", "dataset_path": "mock:16", "n_train": 20, "n_test": 10,
+    "vocab_limit": 50, "cache_enabled": True, "cache_dir": "file-cache",
+    "backend": {"kind": "http", "endpoint_url": "http://file/v1", "model_name": "file-model"},
+    "gen": {"total_records": 20, "batch_size": 5, "num_shots": 3},
+    "models": ["mnb"], "icl_shots": [2], "epsilons": [1.0, 4.0], "sweep_seeds": 2,
+    "fresh_generation_per_epsilon": False,
+}
+
+
+class TestFlags:
+    @staticmethod
+    def parsed(tmp_path, monkeypatch, command, argv):
+        """(config the command receives, config from FLAG_FILE alone)."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(FLAG_FILE), encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(cli_module, f"cmd_{command}", lambda *args: calls.append(args))
+        inputs = ["--synthetic", "s.jsonl"] if command in ("evaluate", "audit") else []
+        assert main([command, "--config", str(path), *inputs, *argv]) == 0
+        (args,) = calls
+        assert args[1:] == (("s.jsonl",) if inputs else ())
+        return args[0], load_config(str(path), {})
+
+    @pytest.mark.parametrize("command, argv, key, value", [
+        pytest.param(command, argv, key, value, id=f"{command}{argv[0]}")
+        for commands, argv, key, value in FLAG_TABLE for command in commands.split()
+    ])
+    def test_flag_sets_its_config_key(self, tmp_path, monkeypatch, command, argv, key, value):
+        config, from_file = self.parsed(tmp_path, monkeypatch, command, argv)
+        section, _, name = key.rpartition(".")
+        if section:
+            change = {section: dataclasses.replace(getattr(from_file, section), **{name: value})}
+        else:
+            change = {name: value}
+        assert config == dataclasses.replace(from_file, **change)
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS.split())
+    def test_omitted_flags_leave_the_file_values(self, tmp_path, monkeypatch, command):
+        config, from_file = self.parsed(tmp_path, monkeypatch, command, [])
+        assert config == from_file
+        defaults = ExperimentConfig()
+        for key in set(FLAG_FILE) - {"cache_enabled", "fresh_generation_per_epsilon"}:
+            assert getattr(from_file, key) != getattr(defaults, key), key
+
+    def test_table_lists_every_flag(self):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert sorted(subparsers.choices) == sorted(ALL_COMMANDS.split())
+        for command, parser in subparsers.choices.items():
+            flags = {s for a in parser._actions for s in a.option_strings}
+            table = {argv[0] for commands, argv, _, _ in FLAG_TABLE
+                     if command in commands.split()}
+            assert flags - {"-h", "--help", "--config", "--synthetic"} == table, command
 
 
 class TestStage:
@@ -481,6 +583,17 @@ class TestCmdSweep:
         assert main(["sweep", "--config", str(path), "--epsilons", "1"]) == 1
         assert "at least two epsilon" in capsys.readouterr().err
 
+    def test_repeated_epsilons_are_rejected(self, tmp_path, capsys):
+        # Two rows from one seed would claim two seeds each, and the ledger
+        # would charge twice for releases drawn from one noise stream.
+        path = write_config(tmp_path)
+        assert main(["sweep", "--config", str(path), "--epsilons", "0.5,1,1.0",
+                     "--models", "mnb"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'config':")
+        assert "repeated" in err
+        assert not (tmp_path / "out" / "sweep.json").exists()
+
     def test_long_generation_budget_warning(self, tmp_path, capsys):
         path = write_config(tmp_path, gen={"total_records": 16, "batch_size": 8,
                                            "max_tokens": 300})
@@ -542,6 +655,24 @@ class TestGoldenOutputs:
         for artifact, digest in digests.items():
             data = (tmp_path / "out" / artifact).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, artifact
+
+    def test_evaluate_and_audit_digests(self, tmp_path):
+        # Every model and every shot count, so each training and ICL stream
+        # is pinned; the audit reads the same synthetic file.
+        path = write_config(tmp_path, dataset_path="mock:96", n_train=48, n_test=48,
+                            gen={"total_records": 32, "batch_size": 8})
+        out = tmp_path / "out"
+        synthetic = str(out / "synthetic.jsonl")
+        assert main(["generate", "--config", str(path)]) == 0
+        assert main(["evaluate", "--config", str(path), "--synthetic", synthetic,
+                     "--models", "mnb,svm,icl", "--icl-shots", "0,2,4"]) == 0
+        assert main(["audit", "--config", str(path), "--synthetic", synthetic]) == 0
+        for artifact, digest in {
+            "evaluation.json": "0748109f65e71e3393a4da3513776cf94809d2250b6d7f06b8a2253ae727c9bc",
+            "evaluation.md": "52980c9221cc0ef49da44d49dd5293a1a5e4ea2040d537a5d8de11cd95f2e2a0",
+            "audit.json": "89e35216c03d7412984b0372a893d6c9a541cae0bac282ee8d5cdd769105d270",
+        }.items():
+            assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest, artifact
 
 
 # ---------------------------------------------------------------- audit

@@ -413,7 +413,7 @@ class TestIclEvaluate:
     def test_mock_backend_recovers_class_vocabulary(self):
         demo_corpus = mock_original_corpus(3, seed=1)
         test = mock_original_corpus(10, seed=2)
-        report = icl_evaluate(IclConfig(shots=4, seed=0), demo_corpus, test)
+        report = icl_evaluate(IclConfig(shots=4, seed=0), demo_corpus, test, client=MockClient())
         assert report.model_tag == "icl-4shot"
         assert report.n_test == 40
         assert report.accuracy >= 0.75

@@ -831,6 +831,25 @@ class TestResponseCache:
             mine = [r for r in replayed[:-1] if r.startswith(f"t{t}-")]
             assert mine == [f"t{t}-{i}" for i in range(puts)]
 
+    def test_two_first_writers_of_one_key_keep_their_own_temp_files(self, tmp_path,
+                                                                      monkeypatch):
+        # Two commands write a new key at once: the second's whole put runs
+        # while the first is renaming its temp file into place.
+        first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
+        real_replace = os.replace
+
+        def replace(src, dst):
+            monkeypatch.setattr(os, "replace", real_replace)
+            second.put(self.KEY, {}, "from second")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        first.put(self.KEY, {}, "from first")
+        reader = ResponseCache(tmp_path)
+        assert reader.get(self.KEY) in ("from first", "from second")
+        assert reader.get(self.KEY) is None
+        assert list(tmp_path.glob("*.tmp")) == []
+
 
 # ---------------------------------------------------------------- demo selection and the loop
 
@@ -898,7 +917,7 @@ class TestRunGeneration:
     def test_mock_backend_fills_quota_exactly(self):
         original = mock_original_corpus(3, seed=2)
         config = GenerationConfig(total_records=24, batch_size=8, seed=5)
-        corpus = run_generation(original, BackendSpec(), config)
+        corpus = run_generation(original, MockClient(), config)
         assert len(corpus.records) == 24
         assert corpus.label_counts() == {label: 6 for label in LABELS}
         assert all(r.origin is Origin.SYNTHETIC for r in corpus.records)
@@ -909,10 +928,10 @@ class TestRunGeneration:
     def test_determinism(self):
         original = mock_original_corpus(3, seed=2)
         config = GenerationConfig(total_records=16, batch_size=8, seed=5)
-        a = run_generation(original, BackendSpec(), config)
-        b = run_generation(original, BackendSpec(), config)
+        a = run_generation(original, MockClient(), config)
+        b = run_generation(original, MockClient(), config)
         assert a.records == b.records
-        c = run_generation(original, BackendSpec(), GenerationConfig(total_records=16, batch_size=8, seed=6))
+        c = run_generation(original, MockClient(), GenerationConfig(total_records=16, batch_size=8, seed=6))
         assert c.records != a.records
 
     def test_duplicate_records_are_dropped(self):
