@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import LABELS, Corpus
 from .errors import OverlapDetected, SingleClassInput
 from .evaluation.features import TfIdfModel, transform_corpus
-from .evaluation.mnb import MnbModel, mnb_posterior
-from .evaluation.svm import SvmModel, svm_margins
+from .evaluation.linear import LinearModel, probabilities
 from .rngutil import sub_rng
 
 
@@ -55,31 +54,15 @@ class LeakageReport:
         }
 
 
-def _true_label_confidences(model, X, labels) -> np.ndarray:
-    """Probability mass the model assigns to each row's true label.
-
-    MNB exposes a posterior directly. SVM margins are squashed through a
-    sigmoid and normalized across classes so a zero-weight model yields a
-    flat 0.25 everywhere. Labels the model never saw get confidence 0.
-    """
-    if isinstance(model, MnbModel):
-        probs = mnb_posterior(model, X)
-    elif isinstance(model, SvmModel):
-        squashed = _logistic(svm_margins(model, X))
-        probs = squashed / squashed.sum(axis=1, keepdims=True)
-    else:
-        raise TypeError(f"no confidence rule for model type {type(model).__name__}")
-    column = {label: j for j, label in enumerate(model.classes)}
-    cols = np.array([column.get(label, -1) for label in labels], dtype=np.int64)
-    out = np.where(cols >= 0, probs[np.arange(len(cols)), cols], 0.0)
+def _true_label_confidences(model: LinearModel, X, label_ids: np.ndarray) -> np.ndarray:
+    """Probability the model's link assigns to each row's true label; labels
+    the model never saw get confidence 0."""
+    column = np.full(len(LABELS), -1)
+    column[model.classes] = np.arange(len(model.classes))
+    cols = column[label_ids]
+    out = np.where(cols >= 0, probabilities(model, X)[np.arange(len(cols)), cols], 0.0)
     # guard against sigmoid round-off nudging past 1
     return np.clip(out, 0.0, 1.0)
-
-
-def _logistic(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)), computed from exp(-|x|) so no margin overflows."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -90,7 +73,7 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def collect_confidences(
-    model,
+    model: LinearModel,
     features: TfIdfModel,
     members: Corpus,
     nonmembers: Corpus,
@@ -122,7 +105,7 @@ def collect_confidences(
         if len(keep) > size:
             keep = np.sort(rng.choice(len(keep), size=size, replace=False))
         X = transform_corpus(features, corpus)[keep]
-        return _true_label_confidences(model, X, [corpus.records[i].label for i in keep])
+        return _true_label_confidences(model, X, corpus.label_ids[keep])
 
     return confidences(members), confidences(nonmembers)
 

@@ -459,8 +459,8 @@ def cmd_generate(config: ExperimentConfig) -> RunManifest:
 # ---------------------------------------------------------------- evaluate
 
 def _fit(config: ExperimentConfig, name: str, corpus: Corpus, seed: int = 0):
-    """TF-IDF features and an MNB or SVM model fitted on one corpus, as
-    ``(features, model)``. Only the SVM reads ``seed``."""
+    """TF-IDF features and the MNB or SVM LinearModel fitted on one corpus,
+    as ``(features, model)``. Only the SVM reads ``seed``."""
     features = fit_tfidf(corpus)
     if name == "mnb":
         return features, train_mnb(corpus, features, alpha=config.mnb_alpha)

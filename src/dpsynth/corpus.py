@@ -48,6 +48,7 @@ class ClassLabel(Enum):
 
 
 LABELS: tuple[ClassLabel, ...] = tuple(ClassLabel)
+_LABEL_IDS = {label: k for k, label in enumerate(LABELS)}
 
 _CSV_INDEX_TO_LABEL = {
     1: ClassLabel.WORLD,
@@ -124,8 +125,9 @@ class NewsRecord:
 class Corpus:
     """An ordered, immutable collection of records with a split tag.
 
-    ``token_counts`` is cached on the instance, not a field, so equality and
-    ``dataclasses.replace`` see only the records and the split."""
+    ``token_counts`` and ``label_ids`` are cached on the instance, not
+    fields, so equality and ``dataclasses.replace`` see only the records and
+    the split."""
 
     records: tuple[NewsRecord, ...]
     split: Split = Split.UNSPLIT
@@ -149,6 +151,13 @@ class Corpus:
     def token_counts(self) -> TokenCounts:
         """The record x token count arrays, built on first use and kept."""
         return count_tokens(self.records)
+
+    @cached_property
+    def label_ids(self) -> np.ndarray:
+        """Each record's label as its position in LABELS: the one numeric
+        encoding of labels that training, scoring and counting share."""
+        return np.fromiter((_LABEL_IDS[rec.label] for rec in self.records),
+                           dtype=np.intp, count=len(self.records))
 
 
 # ---------------------------------------------------------------- loading
@@ -265,30 +274,23 @@ def sample_split(corpus: Corpus, n_train: int, n_test: int, seed: int) -> tuple[
     if n_train <= 0 or n_test <= 0:
         raise InsufficientRecords("split sizes must be positive")
     per_train = n_train // 4
-    per_test = n_test // 4
-    need = per_train + per_test
-
-    by_class: dict[ClassLabel, list[int]] = {label: [] for label in LABELS}
-    for i, rec in enumerate(corpus.records):
-        by_class[rec.label].append(i)
+    need = per_train + n_test // 4
 
     rng = make_rng(seed)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for label in LABELS:
-        pool = by_class[label]
+    chosen = []
+    for k, label in enumerate(LABELS):
+        pool = np.flatnonzero(corpus.label_ids == k)
         if len(pool) < need:
             raise InsufficientRecords(
                 f"class {label.display}: need {need} records, have {len(pool)}"
             )
-        perm = rng.permutation(len(pool))
-        chosen = [pool[j] for j in perm[:need]]
-        train_idx.extend(chosen[:per_train])
-        test_idx.extend(chosen[per_train:])
+        chosen.append(pool[rng.permutation(len(pool))[:need]])
 
-    train = Corpus(tuple(corpus.records[i] for i in sorted(train_idx)), Split.TRAIN)
-    test = Corpus(tuple(corpus.records[i] for i in sorted(test_idx)), Split.TEST)
-    return train, test
+    def subset(part: slice, split: Split) -> Corpus:
+        rows = sorted(i for pick in chosen for i in pick[part].tolist())
+        return Corpus(tuple(corpus.records[i] for i in rows), split)
+
+    return subset(slice(per_train), Split.TRAIN), subset(slice(per_train, None), Split.TEST)
 
 
 # ---------------------------------------------------------------- tokens
@@ -320,12 +322,11 @@ class TokenCounts:
     indices: np.ndarray
     data: np.ndarray
 
-    def class_totals(self, records: tuple[NewsRecord, ...]) -> np.ndarray:
-        """Occurrence totals per class of the counted ``records``: one row per
-        label in LABELS order, one column per token."""
-        row_of = {label: k for k, label in enumerate(LABELS)}
-        classes = np.array([row_of[rec.label] for rec in records], dtype=np.intp)
-        rows = np.repeat(classes, np.diff(self.indptr))
+    def class_totals(self, label_ids: np.ndarray) -> np.ndarray:
+        """Occurrence totals per class, given the counted records' label ids
+        (``Corpus.label_ids``): one row per label in LABELS order, one column
+        per token."""
+        rows = np.repeat(label_ids, np.diff(self.indptr))
         totals = np.zeros((len(LABELS), len(self.tokens)), dtype=np.int64)
         np.add.at(totals, (rows, self.indices), self.data)
         return totals

@@ -248,7 +248,7 @@ def build_histogram(corpus: Corpus, vocab_limit: int = 500) -> TokenHistogram:
     counts = count_tokens(corpus.records)
     tokens = counts.tokens
     per_class: dict[ClassLabel, dict[str, int]] = {}
-    for label, totals in zip(LABELS, counts.class_totals(corpus.records)):
+    for label, totals in zip(LABELS, counts.class_totals(corpus.label_ids)):
         seen = np.flatnonzero(totals)
         # Columns are lexicographic, so ties on count go to the smaller column.
         ranked = sorted(zip((-totals[seen]).tolist(), seen.tolist()))[:vocab_limit]

@@ -13,6 +13,8 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..corpus import LABELS, ClassLabel, Corpus, NewsRecord, normalize_label
 from ..errors import DemoCountMismatch, EmptyCorpus, MissingClassDemo, UnknownLabel
 from ..rngutil import make_rng, subseed
@@ -125,7 +127,7 @@ def icl_evaluate(
             )
     demos = select_icl_demos(config, demo_corpus)
 
-    def ask(query: NewsRecord) -> ClassLabel | None:
+    def ask(query: NewsRecord) -> int:
         prompt = build_icl_prompt(config, demos, query)
         response = client.complete(
             prompt,
@@ -134,16 +136,17 @@ def icl_evaluate(
             max_tokens=_QUERY_MAX_TOKENS,
             seed=config.seed,
         )
-        return parse_label_response(response)
+        label = parse_label_response(response)
+        return -1 if label is None else LABELS.index(label)
 
     # pool.map yields results in record order whatever order they finish in.
     with ThreadPoolExecutor(max_workers=config.backend.max_concurrent) as pool:
-        predictions = list(pool.map(ask, test.records))
+        predictions = np.array(list(pool.map(ask, test.records)))
     return evaluate(
         predictions,
         test,
         model_tag=f"icl-{config.shots}shot",
         train_source=config.demo_source if config.shots else "Original",
         config_fingerprint=config_fingerprint,
-        n_unparseable=sum(1 for p in predictions if p is None),
+        n_unparseable=int(np.count_nonzero(predictions == -1)),
     )

@@ -1,16 +1,15 @@
-"""Batch prediction, exact accuracy accounting, and JSON/markdown report rendering."""
+"""Exact accuracy accounting on label-id arrays, and JSON/markdown report rendering."""
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..corpus import LABELS, ClassLabel, Corpus
 from ..errors import EmptyCorpus
 # Not called here: perfbench/tracer.py counts single-record featurizations
 # through this name, and a run that makes none reads 0.
 from .features import transform  # noqa: F401
-from .mnb import MnbModel, mnb_predict
-from .svm import SvmModel, svm_predict
 
 
 @dataclass(frozen=True)
@@ -37,17 +36,8 @@ class EvalReport:
         }
 
 
-def predict(model, X: sparse.csr_matrix) -> list[ClassLabel]:
-    """Labels for every row of a feature matrix, by the model's own rule."""
-    if isinstance(model, MnbModel):
-        return mnb_predict(model, X)
-    if isinstance(model, SvmModel):
-        return svm_predict(model, X)
-    raise TypeError(f"no predictor for model type {type(model).__name__}")
-
-
 def evaluate(
-    predictions: Sequence[ClassLabel | None],
+    predictions: np.ndarray,
     test: Corpus,
     *,
     model_tag: str = "model",
@@ -55,35 +45,31 @@ def evaluate(
     config_fingerprint: str = "",
     n_unparseable: int = 0,
 ) -> EvalReport:
-    """Score one predicted label per test record, in record order.
+    """Score one predicted label id per test record, in record order.
 
-    A prediction of None (no readable label) counts as wrong. Accuracy is
-    the exact ratio correct / n.
+    Ids are positions in LABELS, as ``Corpus.label_ids`` gives them; -1 (an
+    answer with no readable label) counts as wrong. Accuracy is the exact
+    ratio correct / n.
     """
     if not test.records:
         raise EmptyCorpus("cannot evaluate on an empty corpus")
+    predictions = np.asarray(predictions)
     if len(predictions) != len(test.records):
         raise ValueError(
             f"{len(predictions)} predictions for {len(test.records)} test records"
         )
-    correct = 0
-    class_total: dict[ClassLabel, int] = {}
-    class_correct: dict[ClassLabel, int] = {}
-    for rec, predicted in zip(test.records, predictions):
-        class_total[rec.label] = class_total.get(rec.label, 0) + 1
-        if predicted is rec.label:
-            correct += 1
-            class_correct[rec.label] = class_correct.get(rec.label, 0) + 1
-    per_class = {
-        label: class_correct.get(label, 0) / class_total[label]
-        for label in LABELS
-        if label in class_total
-    }
+    truth = test.label_ids
+    hits = predictions == truth
+    class_total = np.bincount(truth, minlength=len(LABELS)).tolist()
+    class_correct = np.bincount(truth[hits], minlength=len(LABELS)).tolist()
     return EvalReport(
         model_tag=model_tag,
         train_source=train_source,
-        accuracy=correct / len(test.records),
-        per_class_accuracy=per_class,
+        accuracy=int(hits.sum()) / len(test.records),
+        per_class_accuracy={
+            label: class_correct[k] / class_total[k]
+            for k, label in enumerate(LABELS) if class_total[k]
+        },
         n_test=len(test.records),
         config_fingerprint=config_fingerprint,
         n_unparseable=n_unparseable,

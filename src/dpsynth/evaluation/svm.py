@@ -17,18 +17,19 @@ Reaching MAX_NEWTON_STEPS first raises SolverDidNotConverge.
 
 The solve is deterministic; the seed only draws the validation split. Model
 selection tries the C grid on that held-out slice (ties prefer the smaller
-C), then refits on the full training set.
+C), then refits on the full training set. The result is a LinearModel whose
+link squashes each margin through the logistic and normalises across
+classes, so the audit reads class probabilities off any SVM.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..corpus import LABELS, ClassLabel, Corpus
+from ..corpus import Corpus
 from ..errors import EmptyCorpus, SingleClassCorpus, SolverDidNotConverge
 from ..rngutil import make_rng, subseed
 from .features import TfIdfModel, transform_corpus
+from .linear import LinearModel, classes_and_y
 
 DEFAULT_C_GRID = (0.1, 1.0, 10.0)
 DEFAULT_VAL_FRACTION = 0.30
@@ -38,16 +39,6 @@ MAX_NEWTON_STEPS = 50
 MAX_CG_STEPS = 200        # per Newton step; an early CG stop is still a descent direction
 _ARMIJO = 0.01            # sufficient-decrease fraction of the line search
 _MAX_HALVINGS = 30
-
-
-@dataclass(frozen=True)
-class SvmModel:
-    classes: tuple[ClassLabel, ...]
-    weights: np.ndarray            # (n_classes, V)
-    biases: np.ndarray             # (n_classes,)
-    c_value: float
-    # ||grad|| / ||grad at w = 0|| per class after the final fit.
-    rel_grad_norm: tuple[float, ...]
 
 
 def _objective(W: np.ndarray, Z: np.ndarray, Y: np.ndarray, c_value: float) -> np.ndarray:
@@ -85,8 +76,8 @@ def _newton_direction(Xb: sparse.csr_matrix, XbT: sparse.csr_matrix, mask: np.nd
 
 
 def _fit_ovr(X: sparse.csr_matrix, y: np.ndarray, n_classes: int,
-             c_value: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights (n_classes, V), biases and relative gradient norms per class."""
+             c_value: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (n_classes, V) and biases (n_classes,)."""
     from scipy import sparse
     n = X.shape[0]
     Xb = sparse.hstack([X, np.ones((n, 1))], format="csr")
@@ -104,7 +95,7 @@ def _fit_ovr(X: sparse.csr_matrix, y: np.ndarray, n_classes: int,
         rel = np.divide(gnorm, g0, out=np.zeros_like(gnorm), where=g0 > 0)
         todo = rel > GRAD_RTOL
         if not todo.any():
-            return W[:-1].T.copy(), W[-1].copy(), rel
+            return W[:-1].T.copy(), W[-1].copy()
         # Converged columns get a zero direction and stay where they are.
         G = G * todo
         D = _newton_direction(Xb, XbT, mask, G, c_value,
@@ -151,7 +142,7 @@ def train_svm(
     c_grid=DEFAULT_C_GRID,
     val_fraction: float = DEFAULT_VAL_FRACTION,
     seed: int = 0,
-) -> SvmModel:
+) -> LinearModel:
     """Grid-selected one-vs-rest linear SVM.
 
     Candidate C values are tried in ascending order on a seed-deterministic
@@ -160,8 +151,7 @@ def train_svm(
     """
     if not train.records:
         raise EmptyCorpus("cannot train an SVM on an empty corpus")
-    labels = [rec.label for rec in train.records]
-    classes = tuple(label for label in LABELS if label in set(labels))
+    classes, y = classes_and_y(train)
     if len(classes) < 2:
         raise SingleClassCorpus("SVM training needs at least two classes")
     if not (0 < val_fraction < 1):
@@ -171,7 +161,6 @@ def train_svm(
         raise ValueError("C grid must hold positive values")
 
     X = transform_corpus(features, train)
-    y = np.array([classes.index(lab) for lab in labels])
     n_classes = len(classes)
 
     best_c = c_grid[0]
@@ -182,27 +171,26 @@ def train_svm(
         X_tr, y_tr = X[tr_idx], y[tr_idx]
         X_val, y_val = X[val_idx], y[val_idx]
         for c_value in c_grid:  # ascending, so strict > keeps the smaller C on ties
-            weights, biases, _ = _fit_ovr(X_tr, y_tr, n_classes, c_value)
+            weights, biases = _fit_ovr(X_tr, y_tr, n_classes, c_value)
             scores = X_val @ weights.T + biases
             acc = float(np.mean(np.argmax(scores, axis=1) == y_val)) if len(y_val) else 0.0
             if acc > best_acc:
                 best_acc = acc
                 best_c = c_value
 
-    weights, biases, rel = _fit_ovr(X, y, n_classes, best_c)
-    return SvmModel(
-        classes=classes,
-        weights=weights,
-        biases=biases,
-        c_value=best_c,
-        rel_grad_norm=tuple(float(r) for r in rel),
-    )
+    weights, biases = _fit_ovr(X, y, n_classes, best_c)
+    return LinearModel(classes=classes, weights=weights, biases=biases,
+                       link=normalized_logistic)
 
 
-def svm_margins(model: SvmModel, X: sparse.csr_matrix) -> np.ndarray:
-    return X @ model.weights.T + model.biases
+def normalized_logistic(margins: np.ndarray) -> np.ndarray:
+    """Each margin through the logistic, normalised across classes, so a
+    zero-weight model gives every class the same probability."""
+    squashed = _logistic(margins)
+    return squashed / squashed.sum(axis=1, keepdims=True)
 
 
-def svm_predict(model: SvmModel, X: sparse.csr_matrix) -> list[ClassLabel]:
-    scores = svm_margins(model, X)
-    return [model.classes[k] for k in np.argmax(scores, axis=1)]
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), computed from exp(-|x|) so no margin overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))

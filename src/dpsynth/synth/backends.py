@@ -21,7 +21,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import AuthMissing, BackendUnavailable
@@ -56,9 +56,6 @@ class BackendSpec:
         if self.kind == "http" and (not self.endpoint_url or not self.model_name):
             raise ValueError("http backend requires endpoint_url and model_name")
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def resolve_cache_dir(explicit: str | Path | None = None) -> Path:
     if explicit:
@@ -81,13 +78,13 @@ class ResponseCache:
     response at most once, in order, so a run that issues the same request
     N times replays all N recorded responses instead of collapsing them
     into one; ``put`` advances the cursor past the entry it adds because
-    the caller has already consumed that response. A key's first write
-    goes through a temp file of the writer's own plus atomic replace, so
-    two commands writing one new key at once never rename each other's
-    temp file away. Every append starts a new line, so a writer that dies
-    mid-append leaves a fragment on a line of its own; loading skips any
-    line that is not whole JSON, and later appends land after the
-    fragment. Reads and writes are serialized by a lock.
+    the caller has already consumed that response. Every put is one
+    ``O_APPEND`` write of a newline and one line, so two commands that
+    write one new key at once each append their own first line and a
+    reader merges both. A writer that dies mid-append leaves a fragment on
+    a line of its own; loading skips any line that is not whole JSON, and
+    later appends land after the fragment. Reads and writes are serialized
+    by a lock.
     """
 
     def __init__(self, directory: str | Path):
@@ -148,18 +145,15 @@ class ResponseCache:
     def put(self, key: str, request_body: dict, response_text: str) -> None:
         with self._lock:
             responses = self._load(key)
-            path = self._path(key)
-            if responses:
-                with path.open("a", encoding="utf-8") as f:
-                    f.write("\n" + json.dumps(response_text, ensure_ascii=False))
-            else:
-                payload = json.dumps(
-                    {"request": request_body, "responses": [response_text]},
-                    ensure_ascii=False,
-                )
-                tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-                tmp.write_text(payload, encoding="utf-8")
-                os.replace(tmp, path)
+            # A key this instance holds nothing for gets a line that carries its request.
+            item = (response_text if responses
+                    else {"request": request_body, "responses": [response_text]})
+            line = "\n" + json.dumps(item, ensure_ascii=False)
+            fd = os.open(self._path(key), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
+            try:
+                os.write(fd, line.encode("utf-8"))
+            finally:
+                os.close(fd)
             responses.append(response_text)
             self._consumed[key] = len(responses)
 

@@ -5,7 +5,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from ..corpus import LABELS, ClassLabel, Corpus, NewsRecord, Origin, Split, normalize_label
 from ..errors import AllRecordsMalformed, MissingClassDemo, QuotaUnreachable, UnknownLabel
@@ -38,9 +38,6 @@ class GenerationConfig:
             raise ValueError("num_shots must be >= 0")
         if self.max_calls < 0:
             raise ValueError("max_calls must be >= 0")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -66,13 +66,10 @@ def reconcile_corpus(
     titles = [tokenize(r.title) for r in synthetic.records]
     descs = [tokenize(r.description) for r in synthetic.records]
     dirty = [False] * len(synthetic.records)
-    members: dict = {label: [] for label in LABELS}
-    for i, rec in enumerate(synthetic.records):
-        members[rec.label].append(i)
 
-    for label in LABELS:
+    for k, label in enumerate(LABELS):
         cells = target.per_class.get(label, {})
-        idx = members[label]
+        idx = np.flatnonzero(synthetic.label_ids == k).tolist()
         occurrences: dict = {token: [] for token in cells}
         for i in idx:
             for where, seq in ((0, titles[i]), (1, descs[i])):
@@ -164,7 +161,7 @@ def count_vocab_tokens(corpus: Corpus, target: TokenHistogram) -> dict:
     never from reconciliation's working state (later models reuse it)."""
     tokens = corpus.token_counts.tokens
     out = {}
-    for label, totals in zip(LABELS, corpus.token_counts.class_totals(corpus.records)):
+    for label, totals in zip(LABELS, corpus.token_counts.class_totals(corpus.label_ids)):
         out[label] = {}
         for t in target.per_class.get(label, {}):
             j = bisect_left(tokens, t)  # the columns are sorted

@@ -11,14 +11,14 @@ from dpsynth.audit import (
     LeakageReport,
     MiaResult,
     _average_ranks,
-    _logistic,
     collect_confidences,
     compare_leakage,
     threshold_attack,
 )
-from dpsynth.corpus import ClassLabel, Corpus, Origin, Split
+from dpsynth.corpus import LABELS, ClassLabel, Corpus, Origin, Split
 from dpsynth.errors import OverlapDetected, SingleClassInput
-from dpsynth.evaluation import fit_tfidf, mnb_posterior, train_mnb, train_svm, transform_corpus
+from dpsynth.evaluation import fit_tfidf, probabilities, train_mnb, train_svm, transform_corpus
+from dpsynth.evaluation.svm import _logistic
 from dpsynth.rngutil import make_rng, subseed
 from dpsynth.synth.mock import mock_original_corpus
 
@@ -139,8 +139,8 @@ class TestCollectConfidences:
         assert not np.array_equal(m1, m3)
         # order: the kept confidences are a subsequence of every member's
         # confidence in corpus order
-        posterior = mnb_posterior(model, transform_corpus(features, members))
-        full = [posterior[i, model.classes.index(r.label)]
+        posterior = probabilities(model, transform_corpus(features, members))
+        full = [posterior[i, list(model.classes).index(LABELS.index(r.label))]
                 for i, r in enumerate(members.records)]
         it = iter(full)
         assert all(any(c == x for x in it) for c in m1.tolist())
@@ -186,7 +186,7 @@ class TestCollectConfidences:
 
 
 class TestNumpyHelpers:
-    """The audit's own rank and sigmoid agree with scipy's."""
+    """The audit's own rank and the SVM link's sigmoid agree with scipy's."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_average_ranks_match_rankdata(self, seed):

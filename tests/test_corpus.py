@@ -85,6 +85,15 @@ def test_corpus_by_class_and_counts():
     assert [r.title for r in c.by_class(ClassLabel.WORLD)] == ["a1", "a3"]
 
 
+@given(st.lists(st.sampled_from(LABELS), max_size=30))
+@settings(max_examples=50, deadline=None)
+def test_label_ids_are_positions_in_labels(labels):
+    c = corp(*(rec(f"t{i}", "d", label) for i, label in enumerate(labels)))
+    assert c.label_ids.dtype == np.intp
+    assert c.label_ids.tolist() == [LABELS.index(r.label) for r in c.records]
+    assert c.label_ids is c.label_ids  # built once per corpus
+
+
 # ---------------------------------------------------------------- csv loading
 
 def _write(tmp_path, name, text):

@@ -2,6 +2,7 @@
 and report rendering."""
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -22,23 +23,19 @@ from dpsynth.evaluation import svm as svm_module
 from dpsynth.evaluation import (
     EvalReport,
     IclConfig,
-    MnbModel,
     build_icl_prompt,
     evaluate,
     fit_tfidf,
     icl_evaluate,
-    mnb_posterior,
-    mnb_predict,
-    mnb_scores,
     parse_label_response,
     predict,
+    probabilities,
     render_icl_table,
     render_model_table,
     render_sweep_table,
     rep_shots,
+    scores,
     select_icl_demos,
-    svm_margins,
-    svm_predict,
     train_mnb,
     train_svm,
     transform,
@@ -57,6 +54,16 @@ from helpers import (
 )
 
 W, S, B, T = ClassLabel.WORLD, ClassLabel.SPORTS, ClassLabel.BUSINESS, ClassLabel.SCITECH
+
+
+def ids(*labels):
+    """Label ids (positions in LABELS) of ``labels``."""
+    return [LABELS.index(label) for label in labels]
+
+
+def class_rows(model, corpus):
+    """Each record's row among ``model.classes``."""
+    return np.array([list(model.classes).index(LABELS.index(r.label)) for r in corpus.records])
 
 
 # ---------------------------------------------------------------- tf-idf
@@ -169,7 +176,7 @@ class TestMnb:
         corpus = mock_original_corpus(4, seed=0)
         features = fit_tfidf(corpus)
         model = train_mnb(corpus, features)
-        row_sums = np.exp(model.token_log_prob).sum(axis=1)
+        row_sums = np.exp(model.weights).sum(axis=1)
         assert np.allclose(row_sums, 1.0, atol=1e-12)
 
     def test_priors_are_class_frequencies(self):
@@ -177,14 +184,14 @@ class TestMnb:
             rec("aa bb", "cc", W), rec("aa", "bb", W), rec("dd", "ee ff", S),
         )
         model = train_mnb(corpus, fit_tfidf(corpus))
-        assert model.classes == (W, S)
-        assert model.class_log_prior[0] == pytest.approx(math.log(2 / 3))
-        assert model.class_log_prior[1] == pytest.approx(math.log(1 / 3))
+        assert model.classes.tolist() == ids(W, S)
+        assert model.biases[0] == pytest.approx(math.log(2 / 3))
+        assert model.biases[1] == pytest.approx(math.log(1 / 3))
 
     def test_only_present_classes_are_modeled(self):
         corpus = corp(rec("aa", "bb", W), rec("cc", "dd", T))
         model = train_mnb(corpus, fit_tfidf(corpus))
-        assert model.classes == (W, T)
+        assert model.classes.tolist() == ids(W, T)
 
     def test_zero_feature_tie_goes_to_enum_order(self):
         # symmetric two-class corpus; an all-unknown record scores only the
@@ -192,14 +199,14 @@ class TestMnb:
         corpus = corp(rec("aa", "aa", S), rec("bb", "bb", W))
         features = fit_tfidf(corpus)
         model = train_mnb(corpus, features)
-        pred = mnb_predict(model, transform(features, rec("zz", "zz", B)))
-        assert pred == [W]
+        pred = predict(model, transform(features, rec("zz", "zz", B)))
+        assert pred.tolist() == ids(W)
 
     def test_posterior_rows_sum_to_one(self):
         corpus = mock_original_corpus(4, seed=3)
         features = fit_tfidf(corpus)
         model = train_mnb(corpus, features)
-        post = mnb_posterior(model, transform_corpus(features, corpus))
+        post = probabilities(model, transform_corpus(features, corpus))
         assert post.shape == (len(corpus.records), 4)
         assert np.allclose(post.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(post >= 0)
@@ -221,15 +228,15 @@ class TestMnb:
         model = train_mnb(train, features, alpha=alpha)
 
         X_dense = transform_corpus(features, train).toarray()
-        y = np.array([model.classes.index(r.label) for r in train.records])
+        y = class_rows(model, train)
         queries = balanced_corpus(1, vocab, rng)
         for record in queries.records:
             x = transform(features, record)
-            predicted = mnb_predict(model, x)[0]
+            predicted = predict(model, x)[0]
             allowed = mnb_oracle_predict(
                 X_dense, y, x.toarray()[0], alpha, len(model.classes)
             )
-            assert model.classes.index(predicted) in allowed
+            assert list(model.classes).index(predicted) in allowed
 
 
 # ---------------------------------------------------------------- svm
@@ -249,9 +256,9 @@ class TestSvm:
         corpus = separable_corpus()
         features = fit_tfidf(corpus)
         model = train_svm(corpus, features, seed=0)
-        preds = svm_predict(model, transform_corpus(features, corpus))
-        assert preds == [r.label for r in corpus.records]
-        assert svm_margins(model, transform_corpus(features, corpus)).shape == (48, 4)
+        preds = predict(model, transform_corpus(features, corpus))
+        assert preds.tolist() == ids(*(r.label for r in corpus.records))
+        assert scores(model, transform_corpus(features, corpus)).shape == (48, 4)
 
     def test_determinism_in_seed(self, monkeypatch):
         corpus = separable_corpus(6)
@@ -287,8 +294,8 @@ class TestSvm:
         model = train_svm(corpus, features, c_grid=(c_value,))
         X = np.hstack([transform_corpus(features, corpus).toarray(),
                        np.ones((len(corpus.records), 1))])
-        for k, label in enumerate(model.classes):
-            y = np.array([1.0 if r.label is label else -1.0 for r in corpus.records])
+        for k, label_id in enumerate(model.classes):
+            y = np.array([1.0 if r.label is LABELS[label_id] else -1.0 for r in corpus.records])
             w = np.append(model.weights[k], model.biases[k])
             # gradient of 1/2 |w|^2 + C sum max(0, 1 - y x.w)^2, written out
             slack = np.maximum(0.0, 1.0 - y * (X @ w))
@@ -296,7 +303,6 @@ class TestSvm:
             grad_at_zero = -2.0 * c_value * X.T @ y
             rel = np.linalg.norm(grad) / np.linalg.norm(grad_at_zero)
             assert rel <= svm_module.GRAD_RTOL <= 1e-6
-            assert model.rel_grad_norm[k] == pytest.approx(rel, rel=1e-6, abs=1e-12)
 
             # On its active set the objective is a quadratic with a closed-form
             # minimiser; its Hessian is at least I, so |w - w*| <= |grad|.
@@ -313,16 +319,29 @@ class TestSvm:
         with pytest.raises(SolverDidNotConverge):
             train_svm(corpus, fit_tfidf(corpus), c_grid=(1.0,))
 
-    def test_validation_tie_keeps_smallest_c(self):
+    @pytest.fixture()
+    def fitted_c(self, monkeypatch):
+        """The C of every ``_fit_ovr`` call, in call order; the last is the refit."""
+        c_values = []
+        fit = svm_module._fit_ovr
+
+        def spy(X, y, n_classes, c_value):
+            c_values.append(c_value)
+            return fit(X, y, n_classes, c_value)
+
+        monkeypatch.setattr(svm_module, "_fit_ovr", spy)
+        return c_values
+
+    def test_validation_tie_keeps_smallest_c(self, fitted_c):
         # trivially separable: every C reaches the same validation accuracy
         corpus = separable_corpus()
-        model = train_svm(corpus, fit_tfidf(corpus), c_grid=(10.0, 0.1, 1.0), seed=2)
-        assert model.c_value == 0.1
+        train_svm(corpus, fit_tfidf(corpus), c_grid=(10.0, 0.1, 1.0), seed=2)
+        assert fitted_c == [0.1, 1.0, 10.0, 0.1]
 
-    def test_single_candidate_skips_validation(self):
+    def test_single_candidate_skips_validation(self, fitted_c):
         corpus = separable_corpus(4)
-        model = train_svm(corpus, fit_tfidf(corpus), c_grid=(2.5,), seed=0)
-        assert model.c_value == 2.5
+        train_svm(corpus, fit_tfidf(corpus), c_grid=(2.5,), seed=0)
+        assert fitted_c == [2.5]
 
     def test_input_validation(self):
         corpus = separable_corpus(4)
@@ -487,20 +506,80 @@ class TestIclEvaluate:
         assert serial.per_class_accuracy == threaded.per_class_accuracy
 
 
+# ---------------------------------------------------------------- linear model
+
+
+class TestLinearModel:
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        corpus = mock_original_corpus(6, seed=11)
+        features = fit_tfidf(corpus)
+        X = transform_corpus(features, mock_original_corpus(5, seed=12))
+        models = {"mnb": train_mnb(corpus, features),
+                  "svm": train_svm(corpus, features, c_grid=(1.0,))}
+        return models, X
+
+    @pytest.mark.parametrize("name", ["mnb", "svm"])
+    def test_predict_is_the_argmax_of_scores(self, fitted, name):
+        models, X = fitted
+        model = models[name]
+        s = scores(model, X)
+        assert s.shape == (X.shape[0], len(model.classes))
+        assert np.array_equal(predict(model, X), model.classes[np.argmax(s, axis=1)])
+
+    @pytest.mark.parametrize("name", ["mnb", "svm"])
+    def test_ties_go_to_the_earlier_class(self, fitted, name):
+        models, X = fitted
+        flat = dataclasses.replace(models[name], weights=np.zeros_like(models[name].weights),
+                                   biases=np.zeros_like(models[name].biases))
+        assert set(predict(flat, X).tolist()) == {int(flat.classes[0])}
+        # a tie between the last two classes only
+        biases = np.zeros_like(flat.biases)
+        biases[-2:] = 1.0
+        tied = dataclasses.replace(flat, biases=biases)
+        assert set(predict(tied, X).tolist()) == {int(flat.classes[-2])}
+
+    @pytest.mark.parametrize("name", ["mnb", "svm"])
+    def test_probability_rows_sum_to_one(self, fitted, name):
+        models, X = fitted
+        probs = probabilities(models[name], X)
+        assert probs.shape == (X.shape[0], len(models[name].classes))
+        assert np.all(probs >= 0.0)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@given(labels=st.lists(st.sampled_from(LABELS), min_size=1, max_size=40), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_evaluate_matches_a_per_record_oracle(labels, data):
+    test = corp(*(rec(f"t{i}", "d", label) for i, label in enumerate(labels)))
+    predictions = data.draw(st.lists(st.integers(-1, len(LABELS) - 1),
+                                     min_size=len(labels), max_size=len(labels)))
+    report = evaluate(np.array(predictions), test)
+    correct = [p == LABELS.index(label) for p, label in zip(predictions, labels)]
+    assert report.accuracy == sum(correct) / len(labels)
+    expected = {}
+    for label in LABELS:
+        mine = [ok for ok, lab in zip(correct, labels) if lab is label]
+        if mine:
+            expected[label] = sum(mine) / len(mine)
+    assert report.per_class_accuracy == expected
+    assert list(report.per_class_accuracy) == list(expected)  # LABELS order
+
+
 # ---------------------------------------------------------------- reports
 
 
 class TestReports:
     def test_evaluate_counts_exactly(self):
         test = corp(rec("a1", "b", W), rec("a2", "b", W), rec("a3", "b", S))
-        report = evaluate([W, W, W], test, model_tag="const")
+        report = evaluate(ids(W, W, W), test, model_tag="const")
         assert report.accuracy == pytest.approx(2 / 3)
         assert report.per_class_accuracy == {W: 1.0, S: 0.0}
         assert report.n_test == 3
 
     def test_none_predictions_count_as_wrong(self):
         test = corp(rec("a1", "b", W), rec("a2", "b", S))
-        report = evaluate([None, None], test)
+        report = evaluate([-1, -1], test)
         assert report.accuracy == 0.0
 
     def test_empty_test_rejected(self):
@@ -509,7 +588,7 @@ class TestReports:
 
     def test_prediction_count_must_match_test(self):
         with pytest.raises(ValueError):
-            evaluate([W], corp(rec("a1", "b", W), rec("a2", "b", S)))
+            evaluate(ids(W), corp(rec("a1", "b", W), rec("a2", "b", S)))
 
     def test_predict_dispatch(self):
         corpus = separable_corpus(4)
@@ -517,11 +596,11 @@ class TestReports:
         X = transform_corpus(features, corpus)
         mnb = train_mnb(corpus, features)
         svm = train_svm(corpus, features, c_grid=(1.0,))
-        assert predict(mnb, X) == mnb_predict(mnb, X)
-        assert predict(svm, X) == svm_predict(svm, X)
-        assert predict(svm, X) == [r.label for r in corpus.records]
-        with pytest.raises(TypeError):
-            predict(object(), X)
+        # one predictor reads either model's own weights
+        for model in (mnb, svm):
+            expected = model.classes[np.argmax(X @ model.weights.T + model.biases, axis=1)]
+            assert np.array_equal(predict(model, X), expected)
+        assert predict(svm, X).tolist() == ids(*(r.label for r in corpus.records))
 
     def report(self, tag, source, acc, unparseable=0):
         return EvalReport(

@@ -3,7 +3,6 @@ and count reconciliation."""
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import socket
 import ssl
@@ -432,12 +431,10 @@ class TestHttpBackend:
         assert ask(client) == "ok"
         assert sleeps == [0.5]
 
-    def test_requests_exceptions_are_retried(self, tmp_path):
-        import requests
-
+    def test_transport_exceptions_are_retried(self, tmp_path):
         client, transport, sleeps = http_client(tmp_path, [
-            requests.exceptions.ConnectionError("refused"),
-            requests.exceptions.Timeout("slow"),
+            ConnectionError("refused"),
+            TimeoutError("slow"),
             (200, chat_body("third")),
         ])
         assert ask(client) == "third"
@@ -747,8 +744,10 @@ class TestResponseCache:
         for text in ("r1", "r2", "r3"):
             cache.put(self.KEY, {"model": "m"}, text)
         lines = (tmp_path / f"{self.KEY}.json").read_text(encoding="utf-8").split("\n")
-        assert json.loads(lines[0]) == {"request": {"model": "m"}, "responses": ["r1"]}
-        assert [json.loads(line) for line in lines[1:]] == ["r2", "r3"]
+        # every put starts a new line, the first one included
+        assert lines[0] == ""
+        assert json.loads(lines[1]) == {"request": {"model": "m"}, "responses": ["r1"]}
+        assert [json.loads(line) for line in lines[2:]] == ["r2", "r3"]
 
     @pytest.mark.parametrize("torn", ['\n"r3 cut sho', "\n", '\n"caf\xc3'])
     def test_torn_last_line_is_dropped_and_next_put_is_whole(self, tmp_path, torn):
@@ -831,23 +830,15 @@ class TestResponseCache:
             mine = [r for r in replayed[:-1] if r.startswith(f"t{t}-")]
             assert mine == [f"t{t}-{i}" for i in range(puts)]
 
-    def test_two_first_writers_of_one_key_keep_their_own_temp_files(self, tmp_path,
-                                                                      monkeypatch):
-        # Two commands write a new key at once: the second's whole put runs
-        # while the first is renaming its temp file into place.
+    def test_two_first_writers_of_one_key_both_replay(self, tmp_path):
+        # Two commands ask for a new key at once: both miss, both pay for the
+        # request, and each writes the key's first line.
         first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
-        real_replace = os.replace
-
-        def replace(src, dst):
-            monkeypatch.setattr(os, "replace", real_replace)
-            second.put(self.KEY, {}, "from second")
-            real_replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", replace)
-        first.put(self.KEY, {}, "from first")
+        assert first.get(self.KEY) is None and second.get(self.KEY) is None
+        first.put(self.KEY, {"model": "m"}, "from first")
+        second.put(self.KEY, {"model": "m"}, "from second")
         reader = ResponseCache(tmp_path)
-        assert reader.get(self.KEY) in ("from first", "from second")
-        assert reader.get(self.KEY) is None
+        assert [reader.get(self.KEY) for _ in range(3)] == ["from first", "from second", None]
         assert list(tmp_path.glob("*.tmp")) == []
 
 
