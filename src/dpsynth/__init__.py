@@ -23,8 +23,6 @@ from .corpus import (
     Corpus,
     CorpusFormat,
     NewsRecord,
-    Origin,
-    Split,
     load_agnews,
     normalize_label,
     sample_split,
@@ -74,10 +72,8 @@ __all__ = [
     "Mechanism",
     "MiaResult",
     "NewsRecord",
-    "Origin",
     "PrivacyParams",
     "SensitivityBound",
-    "Split",
     "TOKENIZER_ID",
     "TokenHistogram",
     "__version__",

@@ -9,7 +9,7 @@ data with one trained on noised synthetic data quantifies leakage reduction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,13 +29,7 @@ class MiaResult:
     n_nonmembers: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "advantage": self.advantage,
-            "auc": self.auc,
-            "best_threshold": self.best_threshold,
-            "n_members": self.n_members,
-            "n_nonmembers": self.n_nonmembers,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

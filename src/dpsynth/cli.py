@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corpus import Corpus, CorpusFormat, Origin, load_agnews, sample_split, save_jsonl
+from .corpus import Corpus, CorpusFormat, load_agnews, sample_split, save_jsonl
 from .dp import (
     BudgetLedger,
     Mechanism,
@@ -42,6 +42,7 @@ from .dp import (
     TokenHistogram,
     build_histogram,
     charge,
+    noise_scale,
     perturb_histogram,
 )
 from .errors import DpSynthError, NoModelsRequested, StageError
@@ -124,6 +125,8 @@ class ExperimentConfig:
             raise ValueError("epsilon_floor must be > 0")
         if self.sweep_seeds < 1:
             raise ValueError("sweep_seeds must be >= 1")
+        if self.vocab_limit < 1:
+            raise ValueError("vocab_limit must be >= 1")
         deduped = []
         for m in self.models:
             if m not in VALID_MODELS:
@@ -158,6 +161,12 @@ class ExperimentConfig:
         # Laplace gives pure epsilon-DP; its ledger entries carry delta 0.
         delta = self.delta if mech is Mechanism.GAUSSIAN else 0.0
         return PrivacyParams(epsilon=epsilon, delta=delta, mechanism=mech)
+
+    def check_calibration(self, epsilons) -> None:
+        """Raise unless each requested epsilon's release can be calibrated,
+        so a command fails before it spends any generation call."""
+        for requested in epsilons:
+            noise_scale(self.privacy_for(self.resolve_epsilon(requested)[0]), self.sensitivity)
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self, dict_factory=_json_fields)
@@ -405,6 +414,8 @@ def _release(config: ExperimentConfig, raw: Corpus, hist: TokenHistogram,
 def cmd_generate(config: ExperimentConfig) -> RunManifest:
     """Produce a reconciled synthetic corpus under one epsilon release."""
     started_at = _utc_now()
+    with stage("config"):
+        config.check_calibration((config.epsilon,))
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -522,8 +533,7 @@ def cmd_evaluate(config: ExperimentConfig, synthetic_file: str | Path) -> RunMan
 
     train, test = _load_original(config)
     with stage("load-synthetic"):
-        synthetic = load_agnews(synthetic_file, CorpusFormat.JSONL,
-                                origin=Origin.SYNTHETIC)
+        synthetic = load_agnews(synthetic_file, CorpusFormat.JSONL)
 
     fp = config.fingerprint()
     reports: list[EvalReport] = []
@@ -580,9 +590,6 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
     fresh_generation_per_epsilon flag regenerates per epsilon instead.
     """
     started_at = _utc_now()
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     with stage("config"):
         if len(config.epsilons) < 2:
             raise ValueError("a sweep needs at least two epsilon values")
@@ -590,6 +597,9 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
             raise ValueError(f"a sweep cannot take repeated epsilon values: {config.epsilons}")
         if not config.models:
             raise NoModelsRequested("sweep needs at least one of mnb, svm, icl")
+        config.check_calibration(config.epsilons)
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     train, test = _load_original(config)
     _external_data_note(config)
@@ -676,8 +686,7 @@ def cmd_audit(config: ExperimentConfig, synthetic_file: str | Path) -> RunManife
 
     train, test = _load_original(config)
     with stage("load-synthetic"):
-        synthetic = load_agnews(synthetic_file, CorpusFormat.JSONL,
-                                origin=Origin.SYNTHETIC)
+        synthetic = load_agnews(synthetic_file, CorpusFormat.JSONL)
 
     with stage("train-models"):
         features_orig, model_orig = _fit(config, "mnb", train)

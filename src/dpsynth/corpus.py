@@ -69,17 +69,6 @@ _LABEL_ALIASES = {
 }
 
 
-class Origin(Enum):
-    ORIGINAL = "Original"
-    SYNTHETIC = "Synthetic"
-
-
-class Split(Enum):
-    TRAIN = "Train"
-    TEST = "Test"
-    UNSPLIT = "Unsplit"
-
-
 class CorpusFormat(Enum):
     CSV = "csv"
     JSONL = "jsonl"
@@ -108,7 +97,6 @@ class NewsRecord:
     title: str
     description: str
     label: ClassLabel
-    origin: Origin = Origin.ORIGINAL
 
     def __post_init__(self):
         if not isinstance(self.title, str) or not self.title.strip():
@@ -116,33 +104,21 @@ class NewsRecord:
         if not isinstance(self.description, str) or not self.description.strip():
             raise ValueError("description must be a non-empty string")
 
-    @property
-    def text(self) -> str:
-        return self.title + " " + self.description
-
 
 @dataclass(frozen=True)
 class Corpus:
-    """An ordered, immutable collection of records with a split tag.
+    """An ordered, immutable collection of records.
 
     ``token_counts`` and ``label_ids`` are cached on the instance, not
-    fields, so equality and ``dataclasses.replace`` see only the records and
-    the split."""
+    fields, so equality and ``dataclasses.replace`` see only the records."""
 
     records: tuple[NewsRecord, ...]
-    split: Split = Split.UNSPLIT
 
     def __len__(self) -> int:
         return len(self.records)
 
     def __iter__(self):
         return iter(self.records)
-
-    def label_counts(self) -> dict[ClassLabel, int]:
-        counts = {label: 0 for label in LABELS}
-        for rec in self.records:
-            counts[rec.label] += 1
-        return counts
 
     def by_class(self, label: ClassLabel) -> tuple[NewsRecord, ...]:
         return tuple(r for r in self.records if r.label is label)
@@ -171,12 +147,7 @@ def _coerce_format(fmt: CorpusFormat | str) -> CorpusFormat:
         raise ValueError(f"unknown corpus format: {fmt!r}") from None
 
 
-def load_agnews(
-    path: str | Path,
-    fmt: CorpusFormat | str = CorpusFormat.CSV,
-    *,
-    origin: Origin = Origin.ORIGINAL,
-) -> Corpus:
+def load_agnews(path: str | Path, fmt: CorpusFormat | str = CorpusFormat.CSV) -> Corpus:
     """Load a labeled news file into a Corpus.
 
     CSV rows are (class index 1..4, title, description), no header, fields
@@ -192,18 +163,18 @@ def load_agnews(
             for i, row in enumerate(csv.reader(fh), start=1):
                 if not row:
                     continue  # blank line
-                records.append(_record_from_csv_row(i, row, origin))
+                records.append(_record_from_csv_row(i, row))
         else:
             for i, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                records.append(_record_from_jsonl_line(i, line, origin))
+                records.append(_record_from_jsonl_line(i, line))
     if not records:
         raise EmptyFile(f"no records in {path}")
     return Corpus(tuple(records))
 
 
-def _record_from_csv_row(index: int, row: list[str], origin: Origin) -> NewsRecord:
+def _record_from_csv_row(index: int, row: list[str]) -> NewsRecord:
     if len(row) != 3:
         raise MalformedRow(index, f"expected 3 columns, found {len(row)}")
     raw_idx, title, description = row
@@ -217,10 +188,10 @@ def _record_from_csv_row(index: int, row: list[str], origin: Origin) -> NewsReco
         raise MalformedRow(index, "empty title")
     if not description.strip():
         raise MalformedRow(index, "empty description")
-    return NewsRecord(title, description, _CSV_INDEX_TO_LABEL[class_idx], origin)
+    return NewsRecord(title, description, _CSV_INDEX_TO_LABEL[class_idx])
 
 
-def _record_from_jsonl_line(index: int, line: str, origin: Origin) -> NewsRecord:
+def _record_from_jsonl_line(index: int, line: str) -> NewsRecord:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -236,7 +207,7 @@ def _record_from_jsonl_line(index: int, line: str, origin: Origin) -> NewsRecord
         raise MalformedRow(index, "empty title")
     if not obj["Description"].strip():
         raise MalformedRow(index, "empty description")
-    return NewsRecord(obj["Title"], obj["Description"], normalize_label(obj["Class_Label"]), origin)
+    return NewsRecord(obj["Title"], obj["Description"], normalize_label(obj["Class_Label"]))
 
 
 def save_jsonl(corpus: Corpus, path: str | Path) -> Path:
@@ -286,11 +257,11 @@ def sample_split(corpus: Corpus, n_train: int, n_test: int, seed: int) -> tuple[
             )
         chosen.append(pool[rng.permutation(len(pool))[:need]])
 
-    def subset(part: slice, split: Split) -> Corpus:
+    def subset(part: slice) -> Corpus:
         rows = sorted(i for pick in chosen for i in pick[part].tolist())
-        return Corpus(tuple(corpus.records[i] for i in rows), split)
+        return Corpus(tuple(corpus.records[i] for i in rows))
 
-    return subset(slice(per_train), Split.TRAIN), subset(slice(per_train, None), Split.TEST)
+    return subset(slice(per_train)), subset(slice(per_train, None))
 
 
 # ---------------------------------------------------------------- tokens

@@ -11,7 +11,7 @@ weaken the guarantee.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable
 
@@ -70,7 +70,7 @@ class SensitivityBound:
             raise ValueError("l2 sensitivity cannot exceed l1 sensitivity")
 
     def to_json_dict(self) -> dict:
-        return {"l1": self.l1, "l2": self.l2}
+        return asdict(self)
 
 
 # Assumed, not enforced: nothing clips a document's contribution, and

@@ -95,10 +95,6 @@ class SingleClassCorpus(DpSynthError):
     """Training corpus contains fewer than two classes."""
 
 
-class DemoCountMismatch(DpSynthError):
-    """Demonstration list inconsistent with the configured shot count."""
-
-
 class SolverDidNotConverge(DpSynthError):
     """An SVM solve reached its step cap before its optimality certificate."""
 

@@ -1,7 +1,6 @@
 from .features import TfIdfModel, fit_tfidf, transform, transform_corpus
 from .icl import (
     IclConfig,
-    build_icl_prompt,
     icl_evaluate,
     parse_label_response,
     select_icl_demos,
@@ -24,7 +23,6 @@ __all__ = [
     "IclConfig",
     "LinearModel",
     "TfIdfModel",
-    "build_icl_prompt",
     "evaluate",
     "fit_tfidf",
     "icl_evaluate",

@@ -22,7 +22,6 @@ from ..errors import EmptyCorpus
 class TfIdfModel:
     vocabulary: dict[str, int]  # token -> column, lexicographic
     idf: np.ndarray
-    doc_count: int
 
     @property
     def n_features(self) -> int:
@@ -39,7 +38,7 @@ def fit_tfidf(train: Corpus) -> TfIdfModel:
     df = np.bincount(counts.indices, minlength=len(counts.tokens))
     idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
     vocabulary = {token: j for j, token in enumerate(counts.tokens)}
-    return TfIdfModel(vocabulary=vocabulary, idf=idf, doc_count=n_docs)
+    return TfIdfModel(vocabulary=vocabulary, idf=idf)
 
 
 def transform(model: TfIdfModel, record: NewsRecord) -> sparse.csr_matrix:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..corpus import LABELS, ClassLabel, Corpus, NewsRecord, normalize_label
-from ..errors import DemoCountMismatch, EmptyCorpus, MissingClassDemo, UnknownLabel
+from ..errors import EmptyCorpus, MissingClassDemo, UnknownLabel
 from ..rngutil import make_rng, subseed
 from ..synth.backends import BackendSpec
 from ..synth.prompts import build_classification_prompt
@@ -51,28 +51,9 @@ class IclConfig:
             raise ValueError("demo_source must be 'Original' or 'Synthetic'")
 
 
-def build_icl_prompt(config: IclConfig, demos, query: NewsRecord) -> str:
-    """Validated prompt construction for one query.
-
-    Demo count must equal config.shots; 4-shot needs one demo per class and
-    2-shot needs two distinct classes (DemoCountMismatch otherwise).
-    """
-    demos = list(demos)
-    if len(demos) != config.shots:
-        raise DemoCountMismatch(
-            f"expected {config.shots} demonstrations, got {len(demos)}"
-        )
-    if config.shots == 4:
-        present = {d.label for d in demos}
-        if len(present) != 4:
-            raise DemoCountMismatch("4-shot prompts need one demonstration per class")
-    if config.shots == 2 and len({d.label for d in demos}) != 2:
-        raise DemoCountMismatch("2-shot prompts need two distinct classes")
-    return build_classification_prompt(demos, query)
-
-
 def select_icl_demos(config: IclConfig, demo_corpus: Corpus) -> list[NewsRecord]:
-    """Seed-deterministic demonstration picks, fixed for the whole run."""
+    """Seed-deterministic demonstration picks, fixed for the whole run:
+    one per class for 4-shot, two distinct classes for 2-shot."""
     if config.shots == 0:
         return []
     rng = make_rng(subseed(config.seed, "icl-demos", config.shots))
@@ -118,17 +99,10 @@ def icl_evaluate(
     """Accuracy of backend label predictions over the test corpus."""
     if not test.records:
         raise EmptyCorpus("cannot evaluate on an empty corpus")
-    if config.shots > 0:
-        origins = {rec.origin.value for rec in demo_corpus.records}
-        if origins != {config.demo_source}:
-            raise ValueError(
-                f"demo corpus origins {sorted(origins)} do not match "
-                f"demo_source {config.demo_source!r}"
-            )
     demos = select_icl_demos(config, demo_corpus)
 
     def ask(query: NewsRecord) -> int:
-        prompt = build_icl_prompt(config, demos, query)
+        prompt = build_classification_prompt(demos, query)
         response = client.complete(
             prompt,
             temperature=_QUERY_TEMPERATURE,

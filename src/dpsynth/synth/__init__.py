@@ -9,10 +9,8 @@ from .backends import (
 )
 from .generate import (
     GenerationConfig,
-    SynthBatch,
     generate_batch,
     parse_synth_records,
-    prompt_sha256,
     run_generation,
     select_demos,
 )
@@ -32,7 +30,6 @@ __all__ = [
     "MockClient",
     "PROMPT_LABEL",
     "ResponseCache",
-    "SynthBatch",
     "build_classification_prompt",
     "build_generation_prompt",
     "count_vocab_tokens",
@@ -40,7 +37,6 @@ __all__ = [
     "make_backend",
     "mock_original_corpus",
     "parse_synth_records",
-    "prompt_sha256",
     "reconcile_corpus",
     "render_demo",
     "resolve_cache_dir",

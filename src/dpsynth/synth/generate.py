@@ -1,13 +1,12 @@
 """Synthetic corpus generation: batch requests, parsing, and quota balancing."""
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
 from dataclasses import dataclass, replace
 
-from ..corpus import LABELS, ClassLabel, Corpus, NewsRecord, Origin, Split, normalize_label
+from ..corpus import LABELS, ClassLabel, Corpus, NewsRecord, normalize_label
 from ..errors import AllRecordsMalformed, MissingClassDemo, QuotaUnreachable, UnknownLabel
 from ..rngutil import make_rng, subseed
 from .prompts import build_generation_prompt
@@ -38,20 +37,6 @@ class GenerationConfig:
             raise ValueError("num_shots must be >= 0")
         if self.max_calls < 0:
             raise ValueError("max_calls must be >= 0")
-
-
-@dataclass(frozen=True)
-class SynthBatch:
-    """Parsed records from one backend response."""
-
-    records: tuple[NewsRecord, ...]
-    raw_response: str
-    prompt_hash: str
-    n_malformed: int = 0
-
-
-def prompt_sha256(prompt: str) -> str:
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------- parsing
@@ -86,7 +71,7 @@ def _record_from_item(item) -> NewsRecord | None:
         label = normalize_label(raw_label)
     except UnknownLabel:
         return None
-    return NewsRecord(title.strip(), description.strip(), label, Origin.SYNTHETIC)
+    return NewsRecord(title.strip(), description.strip(), label)
 
 
 def parse_synth_records(raw: str) -> tuple[list[NewsRecord], int]:
@@ -120,7 +105,7 @@ def parse_synth_records(raw: str) -> tuple[list[NewsRecord], int]:
     return records, dropped
 
 
-def generate_batch(backend, prompt: str, config: GenerationConfig) -> SynthBatch:
+def generate_batch(backend, prompt: str, config: GenerationConfig) -> Corpus:
     """Request one batch from a client exposing ``complete`` and parse it."""
     raw = backend.complete(
         prompt,
@@ -129,13 +114,7 @@ def generate_batch(backend, prompt: str, config: GenerationConfig) -> SynthBatch
         max_tokens=config.max_tokens,
         seed=config.seed,
     )
-    records, dropped = parse_synth_records(raw)
-    return SynthBatch(
-        records=tuple(records),
-        raw_response=raw,
-        prompt_hash=prompt_sha256(prompt),
-        n_malformed=dropped,
-    )
+    return Corpus(tuple(parse_synth_records(raw)[0]))
 
 
 # ---------------------------------------------------------------- demo selection
@@ -219,4 +198,4 @@ def run_generation(original: Corpus, backend, config: GenerationConfig) -> Corpu
             seen.add(key)
             buckets[rec.label] += 1
             collected.append(rec)
-    return Corpus(tuple(collected), Split.UNSPLIT)
+    return Corpus(tuple(collected))

@@ -13,7 +13,7 @@ import hashlib
 import json
 import re
 
-from ..corpus import LABELS, ClassLabel, Corpus, NewsRecord, Origin, Split, tokenize
+from ..corpus import LABELS, ClassLabel, Corpus, NewsRecord, tokenize
 from ..rngutil import make_rng
 from .prompts import PROMPT_LABEL
 
@@ -115,7 +115,7 @@ def requested_count(prompt: str, fallback: int) -> int:
 
 
 def mock_original_corpus(n_per_class: int, seed: int) -> Corpus:
-    """A built-in Original-origin sample corpus for offline runs and tests.
+    """A built-in sample of original data for offline runs and tests.
 
     Drawn from the same vocabulary family as the mock backend (separate
     stream label, so records never collide with generated ones), classes
@@ -128,5 +128,5 @@ def mock_original_corpus(n_per_class: int, seed: int) -> Corpus:
     for _ in range(n_per_class):
         for label in LABELS:
             title, description = compose_mock_text(rng, label)
-            records.append(NewsRecord(title, description, label, Origin.ORIGINAL))
-    return Corpus(tuple(records), Split.UNSPLIT)
+            records.append(NewsRecord(title, description, label))
+    return Corpus(tuple(records))

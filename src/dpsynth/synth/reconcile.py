@@ -123,10 +123,9 @@ def reconcile_corpus(
                 title=" ".join(title_tokens) or _EMPTY_FIELD,
                 description=" ".join(desc_tokens) or _EMPTY_FIELD,
                 label=rec.label,
-                origin=rec.origin,
             )
         )
-    result = Corpus(tuple(records), synthetic.split)
+    result = Corpus(tuple(records))
     del titles, descs  # freed before the recount, which tokenizes the result afresh
     _verify_counts(result, target)
     return result

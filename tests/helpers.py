@@ -16,23 +16,20 @@ from dpsynth.corpus import (
     ClassLabel,
     Corpus,
     NewsRecord,
-    Origin,
-    Split,
     tokenize,
 )
 
 # ---------------------------------------------------------------- builders
 
-def rec(title: str, desc: str, label: ClassLabel, origin: Origin = Origin.ORIGINAL) -> NewsRecord:
-    return NewsRecord(title=title, description=desc, label=label, origin=origin)
+def rec(title: str, desc: str, label: ClassLabel) -> NewsRecord:
+    return NewsRecord(title=title, description=desc, label=label)
 
 
-def corp(*records: NewsRecord, split: Split = Split.UNSPLIT) -> Corpus:
-    return Corpus(records=tuple(records), split=split)
+def corp(*records: NewsRecord) -> Corpus:
+    return Corpus(records=tuple(records))
 
 
-def balanced_corpus(per_class: int, vocab: list[str], rng: np.random.Generator,
-                    origin: Origin = Origin.ORIGINAL) -> Corpus:
+def balanced_corpus(per_class: int, vocab: list[str], rng: np.random.Generator) -> Corpus:
     """Random balanced corpus over a word list; every class non-empty."""
     records = []
     for label in LABELS:
@@ -41,7 +38,7 @@ def balanced_corpus(per_class: int, vocab: list[str], rng: np.random.Generator,
             n_desc = int(rng.integers(2, 9))
             title = " ".join(str(rng.choice(vocab)) for _ in range(n_title))
             desc = " ".join(str(rng.choice(vocab)) for _ in range(n_desc))
-            records.append(rec(title, desc, label, origin))
+            records.append(rec(title, desc, label))
     return corp(*records)
 
 

@@ -24,8 +24,6 @@ from dpsynth.corpus import (
     ClassLabel,
     Corpus,
     NewsRecord,
-    Origin,
-    Split,
     load_agnews,
     sample_split,
 )
@@ -292,8 +290,8 @@ def test_mnb_matches_direct_bayes_enumeration(announce):
             label = LABELS[int(rng.integers(0, 4))]
             title = " ".join(rng.choice(vocab, size=int(rng.integers(1, 4))))
             desc = " ".join(rng.choice(vocab, size=int(rng.integers(1, 6))))
-            records.append(NewsRecord(title, desc, label, Origin.ORIGINAL))
-        corpus = Corpus(tuple(records), Split.UNSPLIT)
+            records.append(NewsRecord(title, desc, label))
+        corpus = Corpus(tuple(records))
         features = fit_tfidf(corpus)
         alpha = float(rng.choice([0.5, 1.0, 2.0]))
         model = train_mnb(corpus, features, alpha=alpha)
@@ -305,7 +303,6 @@ def test_mnb_matches_direct_bayes_enumeration(announce):
             " ".join(rng.choice(vocab, size=int(rng.integers(1, 5)))),
             vocab[0],
             LABELS[0],
-            Origin.ORIGINAL,
         )
         x = transform(features, query)
         predicted = predict(model, x)[0]

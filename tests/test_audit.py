@@ -15,7 +15,7 @@ from dpsynth.audit import (
     compare_leakage,
     threshold_attack,
 )
-from dpsynth.corpus import LABELS, ClassLabel, Corpus, Origin, Split
+from dpsynth.corpus import LABELS, ClassLabel, Corpus
 from dpsynth.errors import OverlapDetected, SingleClassInput
 from dpsynth.evaluation import fit_tfidf, probabilities, train_mnb, train_svm, transform_corpus
 from dpsynth.evaluation.svm import _logistic
@@ -85,7 +85,7 @@ class TestCollectConfidences:
 
     def test_overlap_aborts(self):
         members = mock_original_corpus(3, seed=0)
-        nonmembers = Corpus(members.records[:4], Split.UNSPLIT)
+        nonmembers = Corpus(members.records[:4])
         model, features = self.fitted_mnb(members)
         with pytest.raises(OverlapDetected, match="4 record"):
             collect_confidences(model, features, members, nonmembers)

@@ -613,6 +613,25 @@ class TestCmdSweep:
         assert "error: stage 'generate-records':" in capsys.readouterr().err
 
 
+class TestUncalibratableRelease:
+    """A release that cannot be calibrated fails before any generation call."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--mechanism", "gaussian", "--epsilon", "2"],
+        ["generate", "--mechanism", "gaussian", "--delta", "0"],
+        ["generate", "--vocab-limit", "0"],
+        ["sweep", "--mechanism", "gaussian", "--epsilons", "0.5,10"],
+    ])
+    def test_fails_in_the_config_stage(self, tmp_path, capsys, monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(cli_module, "run_generation", lambda *a, **k: calls.append(a))
+        path = write_config(tmp_path)
+        assert main([*argv, "--config", str(path)]) == 1
+        assert "error: stage 'config':" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------- golden outputs
 
 
@@ -753,6 +772,7 @@ def local_chat_server():
         yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", counter
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
 
 

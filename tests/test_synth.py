@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -22,8 +23,6 @@ from dpsynth.corpus import (
     ClassLabel,
     Corpus,
     NewsRecord,
-    Origin,
-    Split,
     tokenize,
 )
 from dpsynth.dp import (
@@ -57,7 +56,6 @@ from dpsynth.synth.generate import (
     GenerationConfig,
     generate_batch,
     parse_synth_records,
-    prompt_sha256,
     run_generation,
     select_demos,
 )
@@ -137,9 +135,9 @@ class TestPrompts:
         assert prompt.count("Class Label:") == 2
 
     def test_render_demo_uses_prompt_spellings(self):
-        rec = NewsRecord("Fed meets", "Rates on hold.", ClassLabel.BUSINESS, Origin.ORIGINAL)
+        rec = NewsRecord("Fed meets", "Rates on hold.", ClassLabel.BUSINESS)
         assert render_demo(rec) == 'Title: Fed meets\nDescription: Rates on hold.\nClass Label: "Bussiness"'
-        sci = NewsRecord("Probe", "Mars lander.", ClassLabel.SCITECH, Origin.ORIGINAL)
+        sci = NewsRecord("Probe", "Mars lander.", ClassLabel.SCITECH)
         assert '"Sci/Tech"' in render_demo(sci)
 
     def test_prompt_heads(self):
@@ -168,7 +166,6 @@ class TestParseSynthRecords:
         assert dropped == 0
         assert [r.title for r in records] == ["Alpha", "Beta"]
         assert records[0].label is ClassLabel.WORLD
-        assert all(r.origin is Origin.SYNTHETIC for r in records)
 
     def test_bare_array(self):
         records, dropped = parse_synth_records(synth_json(self.GOOD, fenced=False))
@@ -263,7 +260,7 @@ class TestMockBackend:
     def test_classification_response_picks_vocab_overlap(self):
         for label in LABELS:
             words = CLASS_VOCAB[label]
-            query = NewsRecord(words[0].capitalize(), " ".join(words[1:4]) + ".", ClassLabel.WORLD, Origin.ORIGINAL)
+            query = NewsRecord(words[0].capitalize(), " ".join(words[1:4]) + ".", ClassLabel.WORLD)
             prompt = build_classification_prompt(ICL_DEMOS, query)
             assert mock_classification_response(prompt) == f'Class Label: "{PROMPT_LABEL[label]}"'
 
@@ -282,8 +279,7 @@ class TestMockBackend:
     def test_mock_original_corpus_shape(self):
         corpus = mock_original_corpus(3, seed=11)
         assert len(corpus.records) == 12
-        assert corpus.label_counts() == {label: 3 for label in LABELS}
-        assert all(r.origin is Origin.ORIGINAL for r in corpus.records)
+        assert Counter(r.label for r in corpus) == {label: 3 for label in LABELS}
         again = mock_original_corpus(3, seed=11)
         assert corpus.records == again.records
         assert mock_original_corpus(3, seed=12).records != corpus.records
@@ -716,7 +712,7 @@ class TestResponseCache:
             keys.add(ResponseCache.key_for(*v))
         assert len(keys) == 6
 
-    def test_writes_are_atomic_renames(self, tmp_path):
+    def test_each_key_writes_one_file(self, tmp_path):
         cache = ResponseCache(tmp_path)
         for i in range(5):
             cache.put(ResponseCache.key_for(f"p{i}", "m", 0.7, 1.0, 100), {}, "x")
@@ -871,8 +867,7 @@ class TestSelectDemos:
     def test_missing_class_raises(self):
         full = mock_original_corpus(2, 0)
         no_sports = Corpus(
-            tuple(r for r in full.records if r.label is not ClassLabel.SPORTS), Split.UNSPLIT
-        )
+            tuple(r for r in full.records if r.label is not ClassLabel.SPORTS))
         with pytest.raises(MissingClassDemo):
             select_demos(no_sports, 4, seed=1)
 
@@ -886,9 +881,6 @@ class TestGenerateBatch:
         prompt = build_generation_prompt(GENERATION_DEMOS, 2)
         batch = generate_batch(client, prompt, config)
         assert len(batch.records) == 2
-        assert batch.n_malformed == 0
-        assert batch.raw_response == raw
-        assert batch.prompt_hash == prompt_sha256(prompt)
         call = client.calls[0]
         assert call["temperature"] == 0.4
         assert call["top_p"] == 0.95
@@ -901,7 +893,8 @@ class TestGenerateBatch:
             {"Title": "Bad"},
         ])
         batch = generate_batch(ScriptedClient([raw]), "p", GenerationConfig())
-        assert batch.n_malformed == 1
+        assert [r.title for r in batch.records] == ["Ok"]
+        assert parse_synth_records(raw)[1] == 1
 
 
 class TestRunGeneration:
@@ -910,9 +903,7 @@ class TestRunGeneration:
         config = GenerationConfig(total_records=24, batch_size=8, seed=5)
         corpus = run_generation(original, MockClient(), config)
         assert len(corpus.records) == 24
-        assert corpus.label_counts() == {label: 6 for label in LABELS}
-        assert all(r.origin is Origin.SYNTHETIC for r in corpus.records)
-        assert corpus.split is Split.UNSPLIT
+        assert Counter(r.label for r in corpus) == {label: 6 for label in LABELS}
         # no duplicates by content
         assert len({(r.title, r.description) for r in corpus.records}) == 24
 
@@ -993,7 +984,7 @@ def one_class_target(per_class_world: dict, vocab_limit: int) -> TokenHistogram:
 
 
 def world_record(title: str, desc: str) -> NewsRecord:
-    return NewsRecord(title, desc, ClassLabel.WORLD, Origin.SYNTHETIC)
+    return NewsRecord(title, desc, ClassLabel.WORLD)
 
 
 class TestReconcile:
@@ -1006,7 +997,7 @@ class TestReconcile:
     def test_untouched_records_keep_their_bytes(self):
         keep = world_record("alpha beta", "gamma delta")
         edit = world_record("zeta! zeta?", "zeta epsi")
-        corpus = Corpus((keep, edit), Split.UNSPLIT)
+        corpus = Corpus((keep, edit))
         target = one_class_target({"alpha": 1, "beta": 1, "gamma": 1, "delta": 1, "zeta": 1, "epsi": 1}, 6)
         out = reconcile_corpus(corpus, target, make_rng(1))
         assert out.records[0] is keep
@@ -1014,7 +1005,7 @@ class TestReconcile:
         assert "!" not in out.records[1].title
 
     def test_deletions_hit_the_exact_count(self):
-        corpus = Corpus((world_record("alpha beta", "alpha gamma alpha"),), Split.UNSPLIT)
+        corpus = Corpus((world_record("alpha beta", "alpha gamma alpha"),))
         target = one_class_target({"alpha": 1, "beta": 1, "gamma": 1}, 3)
         out = reconcile_corpus(corpus, target, make_rng(2))
         tokens = tokenize(out.records[0].title) + tokenize(out.records[0].description)
@@ -1022,7 +1013,7 @@ class TestReconcile:
         assert tokens.count("beta") == 1 and tokens.count("gamma") == 1
 
     def test_insertions_hit_the_exact_count(self):
-        corpus = Corpus((world_record("alpha zz", "alpha story"),), Split.UNSPLIT)
+        corpus = Corpus((world_record("alpha zz", "alpha story"),))
         target = one_class_target({"alpha": 5}, 1)
         out = reconcile_corpus(corpus, target, make_rng(3))
         tokens = tokenize(out.records[0].title) + tokenize(out.records[0].description)
@@ -1031,14 +1022,14 @@ class TestReconcile:
         assert tokens.count("zz") == 1 and tokens.count("story") == 1
 
     def test_empty_title_promotes_a_description_token(self):
-        corpus = Corpus((world_record("alpha", "beta gamma"),), Split.UNSPLIT)
+        corpus = Corpus((world_record("alpha", "beta gamma"),))
         target = one_class_target({"alpha": 0, "beta": 1, "gamma": 1}, 3)
         out = reconcile_corpus(corpus, target, make_rng(4))
         assert out.records[0].title == "beta"
         assert out.records[0].description == "gamma"
 
     def test_fully_emptied_record_gets_placeholder_fields(self):
-        corpus = Corpus((world_record("alpha", "alpha alpha"),), Split.UNSPLIT)
+        corpus = Corpus((world_record("alpha", "alpha alpha"),))
         target = one_class_target({"alpha": 0}, 1)
         out = reconcile_corpus(corpus, target, make_rng(5))
         assert out.records[0].title == "."
@@ -1046,7 +1037,7 @@ class TestReconcile:
         assert tokenize(out.records[0].title) == []
 
     def test_fingerprint_mismatch_raises(self):
-        corpus = Corpus((world_record("alpha", "beta"),), Split.UNSPLIT)
+        corpus = Corpus((world_record("alpha", "beta"),))
         target = TokenHistogram(
             per_class={label: {} for label in LABELS}, vocab_limit=3, fingerprint="other-tok:k3"
         )
@@ -1054,7 +1045,7 @@ class TestReconcile:
             reconcile_corpus(corpus, target, make_rng(0))
 
     def test_insertions_need_records_in_class(self):
-        corpus = Corpus((world_record("alpha", "beta"),), Split.UNSPLIT)
+        corpus = Corpus((world_record("alpha", "beta"),))
         per_class = {label: {} for label in LABELS}
         per_class[ClassLabel.SPORTS] = {"match": 2}
         target = TokenHistogram(per_class=per_class, vocab_limit=1)
@@ -1123,7 +1114,7 @@ class TestReconcileDistribution:
         assert chisquare(observed).pvalue > 1e-3, dict(zip(support, observed))
 
     def test_inserted_copy_lands_in_a_uniform_record(self):
-        corpus = Corpus(tuple(world_record("aa bb", "cc dd") for _ in range(3)), Split.UNSPLIT)
+        corpus = Corpus(tuple(world_record("aa bb", "cc dd") for _ in range(3)))
         target = one_class_target({"zz": 1}, 1)
         chosen = []
         for seed in self.SEEDS:
@@ -1136,7 +1127,7 @@ class TestReconcileDistribution:
     def test_inserted_copy_lands_on_a_uniform_boundary(self):
         # Title "aa bb" has three boundaries; description "cc dd ee" has four,
         # but nothing is ever inserted after its last token.
-        corpus = Corpus((world_record("aa bb", "cc dd ee"),), Split.UNSPLIT)
+        corpus = Corpus((world_record("aa bb", "cc dd ee"),))
         target = one_class_target({"zz": 1}, 1)
         landed = []
         for seed in self.SEEDS:
@@ -1148,7 +1139,7 @@ class TestReconcileDistribution:
     def test_copies_of_two_tokens_in_one_record_are_uniformly_arranged(self):
         # Two single-token insertions into the same record must look like two
         # sequential uniform-boundary inserts: 3 * 4 equally likely layouts.
-        corpus = Corpus((world_record("aa", "bb"),), Split.UNSPLIT)
+        corpus = Corpus((world_record("aa", "bb"),))
         target = one_class_target({"xx": 1, "yy": 1}, 2)
         layouts = []
         for seed in self.SEEDS:
@@ -1168,7 +1159,7 @@ class TestReconcileDistribution:
 
     def test_deleted_occurrences_are_uniform(self):
         # Four occurrences of zz, two of them must go: six surviving pairs.
-        corpus = Corpus((world_record("zz aa zz", "zz bb zz"),), Split.UNSPLIT)
+        corpus = Corpus((world_record("zz aa zz", "zz bb zz"),))
         target = one_class_target({"zz": 2}, 1)
         kept = []
         for seed in self.SEEDS:
