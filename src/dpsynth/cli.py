@@ -23,7 +23,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 import time
 from contextlib import contextmanager
@@ -35,10 +34,10 @@ import numpy as np
 from . import __version__
 from .corpus import Corpus, CorpusFormat, load_agnews, sample_split, save_jsonl
 from .dp import (
+    DEFAULT_SENSITIVITY,
     BudgetLedger,
     Mechanism,
     PrivacyParams,
-    SensitivityBound,
     TokenHistogram,
     build_histogram,
     charge,
@@ -74,6 +73,9 @@ from .synth import (
 
 VALID_MODELS = ("mnb", "svm", "icl")
 
+# A requested epsilon of exactly 0 has no finite calibration; it runs here.
+EPSILON_FLOOR = 0.05
+
 
 # ---------------------------------------------------------------- config
 
@@ -84,12 +86,11 @@ class ExperimentConfig:
     dataset_path accepts a real file (.csv or .jsonl) or "mock:<N>" for the
     built-in offline sample corpus with N records. epsilon drives the
     single-release commands (generate, evaluate, audit); epsilons drives
-    sweep. A requested epsilon of exactly 0 runs at epsilon_floor and is
+    sweep. A requested epsilon of exactly 0 runs at EPSILON_FLOOR and is
     flagged wherever it is reported.
     """
 
     dataset_path: str = ""
-    dataset_format: str = ""              # "" = infer from the file suffix
     n_train: int = 12000
     n_test: int = 4000
     backend: BackendSpec = field(default_factory=BackendSpec)
@@ -98,21 +99,14 @@ class ExperimentConfig:
     epsilons: tuple = (0.0, 0.5, 1.0, 10.0)
     mechanism: str = "laplace"
     delta: float = 1e-5
-    sensitivity_l1: float = 200.0
-    sensitivity_l2: float = math.sqrt(200.0)
     vocab_limit: int = 500
     models: tuple = ("mnb", "svm")
     icl_shots: tuple = (0, 2, 4)
     seed: int = 42
     output_dir: str = "runs"
-    epsilon_floor: float = 0.05
     sweep_seeds: int = 1
-    fresh_generation_per_epsilon: bool = False
     cache_enabled: bool = True
     cache_dir: str = ""
-    mnb_alpha: float = 1.0
-    svm_c_grid: tuple = (0.1, 1.0, 10.0)
-    svm_val_fraction: float = 0.30
 
     def __post_init__(self):
         if self.mechanism not in ("laplace", "gaussian"):
@@ -121,8 +115,6 @@ class ExperimentConfig:
             raise ValueError("epsilon must be >= 0 (0 runs at the surrogate floor)")
         if any(e < 0 for e in self.epsilons):
             raise ValueError("sweep epsilons must be >= 0")
-        if not (self.epsilon_floor > 0):
-            raise ValueError("epsilon_floor must be > 0")
         if self.sweep_seeds < 1:
             raise ValueError("sweep_seeds must be >= 1")
         if self.vocab_limit < 1:
@@ -140,20 +132,11 @@ class ExperimentConfig:
                 raise ValueError(f"icl_shots must be drawn from {VALID_SHOTS}, got {s}")
         object.__setattr__(self, "icl_shots", tuple(shots))
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        object.__setattr__(self, "svm_c_grid", tuple(float(c) for c in self.svm_c_grid))
-        if self.dataset_format not in ("", "csv", "jsonl"):
-            raise ValueError("dataset_format must be 'csv' or 'jsonl'")
-        # sensitivity bounds validated by construction
-        SensitivityBound(self.sensitivity_l1, self.sensitivity_l2)
-
-    @property
-    def sensitivity(self) -> SensitivityBound:
-        return SensitivityBound(self.sensitivity_l1, self.sensitivity_l2)
 
     def resolve_epsilon(self, requested: float) -> tuple[float, bool]:
         """Map a requested epsilon to the one actually run. 0 -> floor."""
         if requested == 0.0:
-            return self.epsilon_floor, True
+            return EPSILON_FLOOR, True
         return float(requested), False
 
     def privacy_for(self, epsilon: float) -> PrivacyParams:
@@ -166,7 +149,8 @@ class ExperimentConfig:
         """Raise unless each requested epsilon's release can be calibrated,
         so a command fails before it spends any generation call."""
         for requested in epsilons:
-            noise_scale(self.privacy_for(self.resolve_epsilon(requested)[0]), self.sensitivity)
+            noise_scale(self.privacy_for(self.resolve_epsilon(requested)[0]),
+                        DEFAULT_SENSITIVITY)
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self, dict_factory=_json_fields)
@@ -214,9 +198,6 @@ def _merge_config_values(file_values: dict, overrides: dict) -> ExperimentConfig
                 "gen.seed is derived from the experiment seed; set top-level 'seed' instead"
             )
         merged["gen"] = GenerationConfig(**merged["gen"])
-    for key in ("epsilons", "models", "icl_shots", "svm_c_grid"):
-        if key in merged and isinstance(merged[key], list):
-            merged[key] = tuple(merged[key])
     return ExperimentConfig(**merged)
 
 
@@ -297,17 +278,14 @@ def stage(name: str):
         raise StageError(name, exc) from exc
 
 
-def _infer_format(config: ExperimentConfig, path: Path) -> CorpusFormat:
-    if config.dataset_format:
-        return CorpusFormat(config.dataset_format)
+def _infer_format(path: Path) -> CorpusFormat:
     suffix = path.suffix.lower()
     if suffix == ".csv":
         return CorpusFormat.CSV
     if suffix == ".jsonl":
         return CorpusFormat.JSONL
-    raise ValueError(
-        f"cannot infer dataset format from {path.name!r}; set dataset_format"
-    )
+    raise ValueError(f"cannot infer dataset format from {path.name!r}; "
+                     "name the file *.csv or *.jsonl")
 
 
 def _load_original(config: ExperimentConfig) -> tuple[Corpus, Corpus]:
@@ -325,7 +303,7 @@ def _load_original(config: ExperimentConfig) -> tuple[Corpus, Corpus]:
             corpus = mock_original_corpus(n // 4, seed=config.seed)
         else:
             path = Path(config.dataset_path)
-            corpus = load_agnews(path, _infer_format(config, path))
+            corpus = load_agnews(path, _infer_format(path))
     with stage("split"):
         return sample_split(corpus, config.n_train, config.n_test, seed=config.seed)
 
@@ -340,10 +318,10 @@ def _external_data_note(config: ExperimentConfig) -> None:
 
 
 def _calibration_warning(config: ExperimentConfig) -> None:
-    if config.gen.max_tokens > config.sensitivity_l1:
+    if config.gen.max_tokens > DEFAULT_SENSITIVITY.l1:
         print(
             f"warning: gen.max_tokens={config.gen.max_tokens} exceeds the assumed "
-            f"per-document contribution bound l1={config.sensitivity_l1}; "
+            f"per-document contribution bound l1={DEFAULT_SENSITIVITY.l1}; "
             "the privacy calibration no longer covers the longest documents",
             file=sys.stderr,
         )
@@ -402,7 +380,7 @@ def _release(config: ExperimentConfig, raw: Corpus, hist: TokenHistogram,
     reconcile streams are ``sub_rng(seed, "<stage>", *labels)``."""
     with stage("dp-noise"):
         params = config.privacy_for(config.resolve_epsilon(requested)[0])
-        noisy = perturb_histogram(hist, params, config.sensitivity,
+        noisy = perturb_histogram(hist, params, DEFAULT_SENSITIVITY,
                                   sub_rng(seed, "dp-noise", *labels))
     with stage("reconcile"):
         synthetic = reconcile_corpus(raw, noisy, sub_rng(seed, "reconcile", *labels))
@@ -416,8 +394,8 @@ def cmd_generate(config: ExperimentConfig) -> RunManifest:
     started_at = _utc_now()
     with stage("config"):
         config.check_calibration((config.epsilon,))
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = Path(config.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     train, _test = _load_original(config)
 
@@ -431,7 +409,7 @@ def cmd_generate(config: ExperimentConfig) -> RunManifest:
     if floored:
         print(
             f"note: epsilon 0 has no finite calibration; running at the "
-            f"surrogate floor {config.epsilon_floor} (flagged in the manifest)",
+            f"surrogate floor {EPSILON_FLOOR} (flagged in the manifest)",
             file=sys.stderr,
         )
     synthetic, noisy = _release(config, raw, hist, config.epsilon, config.seed)
@@ -469,21 +447,20 @@ def cmd_generate(config: ExperimentConfig) -> RunManifest:
 
 # ---------------------------------------------------------------- evaluate
 
-def _fit(config: ExperimentConfig, name: str, corpus: Corpus, seed: int = 0):
+def _fit(name: str, corpus: Corpus, seed: int = 0):
     """TF-IDF features and the MNB or SVM LinearModel fitted on one corpus,
     as ``(features, model)``. Only the SVM reads ``seed``."""
     features = fit_tfidf(corpus)
     if name == "mnb":
-        return features, train_mnb(corpus, features, alpha=config.mnb_alpha)
-    return features, train_svm(corpus, features, c_grid=config.svm_c_grid,
-                               val_fraction=config.svm_val_fraction, seed=seed)
+        return features, train_mnb(corpus, features)
+    return features, train_svm(corpus, features, seed=seed)
 
 
-def _score(config: ExperimentConfig, name: str, corpus: Corpus, test: Corpus,
-           seed: int, source: str, fingerprint: str = "") -> EvalReport:
+def _score(name: str, corpus: Corpus, test: Corpus, seed: int, source: str,
+           fingerprint: str = "") -> EvalReport:
     """Fit ``name`` on ``corpus`` and score it on ``test``. The training
     stream is ``subseed(seed, "train", name, source)``."""
-    features, model = _fit(config, name, corpus, subseed(seed, "train", name, source))
+    features, model = _fit(name, corpus, subseed(seed, "train", name, source))
     return evaluate(predict(model, transform_corpus(features, test)), test, model_tag=name,
                     train_source=source, config_fingerprint=fingerprint)
 
@@ -524,12 +501,11 @@ def cmd_evaluate(config: ExperimentConfig, synthetic_file: str | Path) -> RunMan
     """Train requested models on original and synthetic data, score both on
     the same held-out original test split."""
     started_at = _utc_now()
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     with stage("config"):
         if not config.models:
             raise NoModelsRequested("evaluation needs at least one of mnb, svm, icl")
+        out_dir = Path(config.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     train, test = _load_original(config)
     with stage("load-synthetic"):
@@ -543,7 +519,7 @@ def cmd_evaluate(config: ExperimentConfig, synthetic_file: str | Path) -> RunMan
             continue
         with stage(f"train-{name}"):
             for source, corpus in (("Original", train), ("Synthetic", synthetic)):
-                reports.append(_score(config, name, corpus, test, config.seed, source, fp))
+                reports.append(_score(name, corpus, test, config.seed, source, fp))
     if "icl" in config.models:
         _external_data_note(config)
         with stage("icl"):
@@ -586,8 +562,7 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
     """Accuracy across the epsilon list, optionally averaged over seeds.
 
     Per seed, one base corpus is generated and every epsilon re-noises the
-    same histogram, so row differences isolate the privacy level; the
-    fresh_generation_per_epsilon flag regenerates per epsilon instead.
+    same histogram, so row differences isolate the privacy level.
     """
     started_at = _utc_now()
     with stage("config"):
@@ -598,8 +573,8 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
         if not config.models:
             raise NoModelsRequested("sweep needs at least one of mnb, svm, icl")
         config.check_calibration(config.epsilons)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = Path(config.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     train, test = _load_original(config)
     _external_data_note(config)
@@ -614,12 +589,10 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
 
     for rep in range(config.sweep_seeds):
         rep_seed = config.seed + rep
-        base = (None if config.fresh_generation_per_epsilon
-                else _synthesize(config, train, client, rep_seed))
+        raw, hist = _synthesize(config, train, client, rep_seed)
 
         for requested in config.epsilons:
             eps_used_by[requested] = config.resolve_epsilon(requested)
-            raw, hist = base or _synthesize(config, train, client, rep_seed, repr(requested))
             synthetic, noisy = _release(config, raw, hist, requested, rep_seed,
                                         repr(requested))
             ledger = charge(ledger, f"seed{rep_seed}-eps{requested}", noisy.params)
@@ -631,7 +604,7 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
                         icl_cfg = _icl_config(config, shots, "Synthetic", rep_seed, "Synthetic")
                         report = icl_evaluate(icl_cfg, synthetic, test, client=client)
                     else:
-                        report = _score(config, name, synthetic, test, rep_seed, "Synthetic")
+                        report = _score(name, synthetic, test, rep_seed, "Synthetic")
                 accuracies.setdefault((name, requested), []).append(report.accuracy)
             del synthetic  # with its cached count matrix, before the next release
 
@@ -663,8 +636,7 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
             outputs={"sweep_json": json_path, "sweep_markdown": md_path},
             ledger=ledger,
             backend_stats=client.stats,
-            notes={"n_seeds": config.sweep_seeds,
-                   "fresh_generation_per_epsilon": config.fresh_generation_per_epsilon},
+            notes={"n_seeds": config.sweep_seeds},
         )
 
     print(markdown, end="")
@@ -681,16 +653,17 @@ def cmd_audit(config: ExperimentConfig, synthetic_file: str | Path) -> RunManife
     test records. Both attacks score the same member/non-member samples.
     """
     started_at = _utc_now()
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with stage("config"):
+        out_dir = Path(config.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     train, test = _load_original(config)
     with stage("load-synthetic"):
         synthetic = load_agnews(synthetic_file, CorpusFormat.JSONL)
 
     with stage("train-models"):
-        features_orig, model_orig = _fit(config, "mnb", train)
-        features_synth, model_synth = _fit(config, "mnb", synthetic)
+        features_orig, model_orig = _fit("mnb", train)
+        features_synth, model_synth = _fit("mnb", synthetic)
 
     with stage("mia"):
         mia_seed = subseed(config.seed, "mia")
@@ -767,8 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
     flag("evaluate", "--icl-shots", help="comma list from 0,2,4")
     flag("sweep", "--epsilons", help="comma list, e.g. 0,0.5,1,10")
     flag("sweep", "--sweep-seeds", type=int)
-    flag("sweep", "--fresh-generation", action="store_true",
-         dest="fresh_generation_per_epsilon")
     return parser
 
 

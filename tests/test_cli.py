@@ -78,18 +78,15 @@ class TestExperimentConfig:
         # Pinned: how the config is serialised must not move the identity of
         # an existing run.
         assert config.fingerprint() == (
-            "2976ac39f4cea7299310fe54106c958f53065d8768f76b42855a19e1bc4fbfb8")
+            "a501034d3db95094817bed50fa8fc971f718cf28e0c7d99a1f119816c2931a92")
         # Every identity field, nested ones included, must move the
         # fingerprint; a new field fails here until it is given a value.
         http = {"kind": "http", "endpoint_url": "http://localhost:1/v1", "model_name": "m"}
         changed = {
-            "dataset_path": "mock:8", "dataset_format": "csv", "n_train": 400,
-            "n_test": 100, "epsilon": 2.0, "epsilons": (1.0, 2.0), "mechanism": "gaussian",
-            "delta": 1e-6, "sensitivity_l1": 100.0, "sensitivity_l2": 10.0,
+            "dataset_path": "mock:8", "n_train": 400, "n_test": 100, "epsilon": 2.0,
+            "epsilons": (1.0, 2.0), "mechanism": "gaussian", "delta": 1e-6,
             "vocab_limit": 400, "models": ("mnb",), "icl_shots": (0,), "seed": 43,
-            "epsilon_floor": 0.1, "sweep_seeds": 2, "fresh_generation_per_epsilon": True,
-            "mnb_alpha": 0.5, "svm_c_grid": (1.0,), "svm_val_fraction": 0.2,
-            "gen.temperature": 0.9, "gen.top_p": 0.9, "gen.max_tokens": 100,
+            "sweep_seeds": 2, "gen.temperature": 0.9, "gen.top_p": 0.9, "gen.max_tokens": 100,
             "gen.num_shots": 2, "gen.batch_size": 8, "gen.total_records": 44,
             "gen.seed": 1, "gen.max_calls": 10, "backend.kind": http,
             "backend.endpoint_url": "http://localhost:1/v1", "backend.model_name": "m",
@@ -131,7 +128,7 @@ class TestExperimentConfig:
             ExperimentConfig(icl_shots=(3,))
 
     def test_epsilon_floor_resolution(self):
-        config = ExperimentConfig(epsilon_floor=0.05)
+        config = ExperimentConfig()
         assert config.resolve_epsilon(0.0) == (0.05, True)
         assert config.resolve_epsilon(1.0) == (1.0, False)
         assert config.resolve_epsilon(0.5) == (0.5, False)
@@ -171,6 +168,19 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="unknown config key.*svm_epochs"):
             load_config(str(path), {})
 
+    @pytest.mark.parametrize("key, value", [
+        ("dataset_format", "csv"), ("sensitivity_l1", 100.0), ("sensitivity_l2", 10.0),
+        ("epsilon_floor", 0.1), ("fresh_generation_per_epsilon", True), ("mnb_alpha", 0.5),
+        ("svm_c_grid", [1.0]), ("svm_val_fraction", 0.2),
+    ])
+    def test_removed_keys_fail_in_the_config_stage(self, tmp_path, capsys, key, value):
+        # Each of these is a constant of the module that owns it, not a key.
+        path = write_config(tmp_path, **{key: value})
+        assert main(["generate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage 'config': unknown config key(s): {key}")
+        assert not (tmp_path / "out").exists()
+
     def test_gen_seed_cannot_be_set_directly(self, tmp_path):
         path = write_config(tmp_path, gen={"total_records": 16, "seed": 9})
         with pytest.raises(ValueError, match="derived from the experiment seed"):
@@ -204,6 +214,26 @@ class TestLoadConfig:
         assert f"{section!r} must be a JSON object" in err
 
 
+def test_formats_doc_lists_exactly_the_config_keys():
+    # The key tables in docs/formats.md are the config file's schema: a key
+    # added to, dropped from or renamed in ExperimentConfig must show there.
+    import dpsynth
+
+    doc = Path(dpsynth.__file__).resolve().parents[2] / "docs" / "formats.md"
+    section = doc.read_text(encoding="utf-8").split("## Config file", 1)[1].split("\n## ")[0]
+    documented = {name for line in section.splitlines() if line.startswith("| `")
+                  for name in re.findall(r"`([^`]+)`", line.split("|")[1])}
+    config = ExperimentConfig()
+    keys = set()
+    for f in dataclasses.fields(config):
+        nested = getattr(config, f.name)
+        if dataclasses.is_dataclass(nested):
+            keys |= {f"{f.name}.{g.name}" for g in dataclasses.fields(nested)}
+        else:
+            keys.add(f.name)
+    assert documented == keys - {"gen.seed"}
+
+
 # Every flag of every subcommand: the config key it sets and the value that
 # key then holds. FLAG_FILE gives each of these keys another value.
 ALL_COMMANDS = "generate evaluate sweep audit"
@@ -229,7 +259,6 @@ FLAG_TABLE = [
     ("evaluate", ["--icl-shots", "4,0"], "icl_shots", (0, 4)),
     ("sweep", ["--epsilons", "0.5,2"], "epsilons", (0.5, 2.0)),
     ("sweep", ["--sweep-seeds", "3"], "sweep_seeds", 3),
-    ("sweep", ["--fresh-generation"], "fresh_generation_per_epsilon", True),
 ]
 FLAG_FILE = {
     "seed": 5, "epsilon": 3.0, "mechanism": "gaussian", "delta": 1e-4,
@@ -238,7 +267,6 @@ FLAG_FILE = {
     "backend": {"kind": "http", "endpoint_url": "http://file/v1", "model_name": "file-model"},
     "gen": {"total_records": 20, "batch_size": 5, "num_shots": 3},
     "models": ["mnb"], "icl_shots": [2], "epsilons": [1.0, 4.0], "sweep_seeds": 2,
-    "fresh_generation_per_epsilon": False,
 }
 
 
@@ -274,7 +302,7 @@ class TestFlags:
         config, from_file = self.parsed(tmp_path, monkeypatch, command, [])
         assert config == from_file
         defaults = ExperimentConfig()
-        for key in set(FLAG_FILE) - {"cache_enabled", "fresh_generation_per_epsilon"}:
+        for key in set(FLAG_FILE) - {"cache_enabled"}:
             assert getattr(from_file, key) != getattr(defaults, key), key
 
     def test_table_lists_every_flag(self):
@@ -632,6 +660,35 @@ class TestUncalibratableRelease:
         assert not (tmp_path / "out").exists()
 
 
+class TestOutputDirectory:
+    """Every command makes its output directory in its config stage, after
+    the config is validated."""
+
+    INPUTS = {"generate": [], "sweep": [], "evaluate": ["--synthetic", "s.jsonl"],
+                 "audit": ["--synthetic", "s.jsonl"]}
+
+    @pytest.mark.parametrize("command", ALL_COMMANDS.split())
+    def test_uncreatable_output_dir_fails_in_the_config_stage(self, tmp_path, capsys,
+                                                              command):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        path = write_config(tmp_path, output_dir=str(blocker / "out"))
+        assert main([command, "--config", str(path), *self.INPUTS[command]]) == 1
+        assert capsys.readouterr().err.startswith("error: stage 'config':")
+
+    @pytest.mark.parametrize("command, argv", [
+        ("generate", ["--mechanism", "gaussian", "--epsilon", "2"]),
+        ("evaluate", ["--models", ""]),
+        ("sweep", ["--epsilons", "1"]),
+        ("audit", ["--vocab-limit", "0"]),
+    ])
+    def test_invalid_config_leaves_no_output_dir(self, tmp_path, capsys, command, argv):
+        path = write_config(tmp_path)
+        assert main([command, "--config", str(path), *self.INPUTS[command], *argv]) == 1
+        assert capsys.readouterr().err.startswith("error: stage 'config':")
+        assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------- golden outputs
 
 
@@ -661,11 +718,7 @@ class TestGoldenOutputs:
         (["sweep", "--epsilons", "0,1", "--models", "mnb", "--sweep-seeds", "2"], {}, {
             "sweep.json": "aa67e3b4365519ecd25699f4e6c16a7047140a8c6e741ad1839cd1b09cd99516",
         }),
-        (["sweep", "--epsilons", "0,1", "--models", "mnb", "--fresh-generation"], {}, {
-            "sweep.json": "f95ab702616b390e6e61bf39fc42ca9a522bce856fa2c76081acefe3632d6cc2",
-        }),
-    ], ids=["laplace-eps1", "gaussian-eps0.5", "eps0-floor", "sweep-two-seeds",
-            "sweep-fresh-generation"])
+    ], ids=["laplace-eps1", "gaussian-eps0.5", "eps0-floor", "sweep-two-seeds"])
     def test_output_digests(self, tmp_path, argv, extra, digests):
         path = write_config(tmp_path, dataset_path="mock:96", n_train=48, n_test=48,
                             gen={"total_records": 32, "batch_size": 8}, **extra)
@@ -686,7 +739,7 @@ class TestGoldenOutputs:
                      "--models", "mnb,svm,icl", "--icl-shots", "0,2,4"]) == 0
         assert main(["audit", "--config", str(path), "--synthetic", synthetic]) == 0
         for artifact, digest in {
-            "evaluation.json": "0748109f65e71e3393a4da3513776cf94809d2250b6d7f06b8a2253ae727c9bc",
+            "evaluation.json": "6ce8dde2684a9e1a2217c5a8e9098e7babf8f024994d621418885b9c348ba52b",
             "evaluation.md": "52980c9221cc0ef49da44d49dd5293a1a5e4ea2040d537a5d8de11cd95f2e2a0",
             "audit.json": "89e35216c03d7412984b0372a893d6c9a541cae0bac282ee8d5cdd769105d270",
         }.items():

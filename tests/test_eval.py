@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpsynth.corpus import LABELS, ClassLabel, Corpus, tokenize
+from dpsynth.corpus import _LABEL_ALIASES, LABELS, ClassLabel, Corpus, tokenize
 from dpsynth.errors import (
     EmptyCorpus,
     MissingClassDemo,
@@ -390,6 +390,11 @@ class TestParseLabelResponse:
     def test_cases(self, text, expected):
         assert parse_label_response(text) is expected
 
+    @pytest.mark.parametrize("alias, label", sorted(_LABEL_ALIASES.items()))
+    def test_every_alias_parses(self, alias, label):
+        for text in (alias, alias.upper(), f'Class Label: "{alias.title()}".'):
+            assert parse_label_response(text) is label, text
+
 
 class TestIclDemoSelection:
     def test_zero_shot_selects_nothing(self):
@@ -460,7 +465,7 @@ class TestIclEvaluate:
             for demo in demos:
                 assert demo.title in prompt
 
-    def test_zero_shot_ignores_demo_corpus_origin(self):
+    def test_zero_shot_reports_original_source(self):
         test = mock_original_corpus(1, seed=2)
         report = icl_evaluate(IclConfig(shots=0), corp(), test, client=ScriptedClient(["World"]))
         assert report.train_source == "Original"
