@@ -38,10 +38,6 @@ from .dp import (
     TokenHistogram,
     build_histogram,
     charge,
-    gaussian_sigma,
-    histogram_fingerprint,
-    histogram_from_json,
-    laplace_scale,
     noise_scale,
     perturb_histogram,
     sample_gaussian,
@@ -81,10 +77,6 @@ __all__ = [
     "charge",
     "collect_confidences",
     "compare_leakage",
-    "gaussian_sigma",
-    "histogram_fingerprint",
-    "histogram_from_json",
-    "laplace_scale",
     "load_agnews",
     "make_backend",
     "make_rng",

@@ -130,6 +130,8 @@ class ExperimentConfig:
         for s in shots:
             if s not in VALID_SHOTS:
                 raise ValueError(f"icl_shots must be drawn from {VALID_SHOTS}, got {s}")
+        if "icl" in self.models and not shots:
+            raise ValueError("models include 'icl' but icl_shots is empty")
         object.__setattr__(self, "icl_shots", tuple(shots))
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
 
@@ -600,8 +602,8 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
             for name in config.models:
                 with stage(f"evaluate-{name}"):
                     if name == "icl":
-                        shots = max(config.icl_shots) if config.icl_shots else 4
-                        icl_cfg = _icl_config(config, shots, "Synthetic", rep_seed, "Synthetic")
+                        icl_cfg = _icl_config(config, max(config.icl_shots), "Synthetic",
+                                              rep_seed, "Synthetic")
                         report = icl_evaluate(icl_cfg, synthetic, test, client=client)
                     else:
                         report = _score(name, synthetic, test, rep_seed, "Synthetic")

@@ -13,18 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
 from .corpus import LABELS, TOKENIZER_ID, ClassLabel, Corpus, count_tokens
-from .errors import (
-    EmptyCorpus,
-    EpsilonOutOfRange,
-    InvalidDelta,
-    InvalidMechanism,
-    NonPositiveEpsilon,
-)
+from .errors import EmptyCorpus, EpsilonOutOfRange, InvalidDelta, NonPositiveEpsilon
 
 
 class Mechanism(Enum):
@@ -80,34 +73,27 @@ DEFAULT_SENSITIVITY = SensitivityBound(l1=200.0, l2=math.sqrt(200.0))
 
 # ---------------------------------------------------------------- calibration
 
-def laplace_scale(params: PrivacyParams, sensitivity: SensitivityBound) -> float:
-    """Laplace scale b = l1 / epsilon."""
-    if params.mechanism is not Mechanism.LAPLACE:
-        raise InvalidMechanism("laplace_scale requires the Laplace mechanism")
-    return sensitivity.l1 / params.epsilon
+def noise_scale(params: PrivacyParams, sensitivity: SensitivityBound) -> float:
+    """Laplace scale b = l1 / epsilon, or Gaussian sigma =
+    l2 * sqrt(2 ln(1.25/delta)) / epsilon.
 
-
-def gaussian_sigma(params: PrivacyParams, sensitivity: SensitivityBound) -> float:
-    """Analytic calibration sigma = l2 * sqrt(2 ln(1.25/delta)) / epsilon.
-
-    Valid only for epsilon in (0, 1]; larger epsilon raises EpsilonOutOfRange
-    rather than silently extrapolating the bound.
+    The Gaussian calibration is valid only for epsilon in (0, 1]; a larger
+    epsilon raises EpsilonOutOfRange rather than silently extrapolating the
+    bound. So does any epsilon whose scale is not positive and finite.
     """
-    if params.mechanism is not Mechanism.GAUSSIAN:
-        raise InvalidMechanism("gaussian_sigma requires the Gaussian mechanism")
-    if not (0 < params.delta < 1):
-        raise InvalidDelta(f"delta must be in (0, 1), got {params.delta}")
-    if params.epsilon > 1:
+    if params.mechanism is Mechanism.LAPLACE:
+        scale = sensitivity.l1 / params.epsilon
+    elif params.epsilon > 1:
         raise EpsilonOutOfRange(
             f"analytic Gaussian calibration is valid for epsilon <= 1, got {params.epsilon}"
         )
-    return sensitivity.l2 * math.sqrt(2.0 * math.log(1.25 / params.delta)) / params.epsilon
-
-
-def noise_scale(params: PrivacyParams, sensitivity: SensitivityBound) -> float:
-    if params.mechanism is Mechanism.LAPLACE:
-        return laplace_scale(params, sensitivity)
-    return gaussian_sigma(params, sensitivity)
+    else:
+        scale = sensitivity.l2 * math.sqrt(2.0 * math.log(1.25 / params.delta)) / params.epsilon
+    if not (0 < scale < math.inf):
+        raise EpsilonOutOfRange(
+            f"epsilon {params.epsilon} gives noise scale {scale}, not positive and finite"
+        )
+    return scale
 
 
 # ---------------------------------------------------------------- samplers
@@ -162,10 +148,6 @@ def sample_gaussian(rng: np.random.Generator, sigma: float, size: int | None = N
 
 # ---------------------------------------------------------------- histograms
 
-def histogram_fingerprint(vocab_limit: int) -> str:
-    return f"{TOKENIZER_ID}:k{int(vocab_limit)}"
-
-
 @dataclass(frozen=True)
 class TokenHistogram:
     """Per-class counts of the top-K tokens (ties broken lexicographically).
@@ -177,19 +159,21 @@ class TokenHistogram:
 
     per_class: dict[ClassLabel, dict[str, int]]
     vocab_limit: int
-    fingerprint: str = ""
     params: PrivacyParams | None = None
     sensitivity: SensitivityBound | None = None
 
     def __post_init__(self):
-        if not self.fingerprint:
-            object.__setattr__(self, "fingerprint", histogram_fingerprint(self.vocab_limit))
         for label, cells in self.per_class.items():
             for token, count in cells.items():
                 if not isinstance(count, int) or count < 0:
                     raise ValueError(
                         f"count for ({label.display}, {token!r}) must be a nonnegative int"
                     )
+
+    @property
+    def fingerprint(self) -> str:
+        """The tokenizer and vocab_limit the counts were taken under."""
+        return f"{TOKENIZER_ID}:k{self.vocab_limit}"
 
     def total(self, label: ClassLabel) -> int:
         return sum(self.per_class.get(label, {}).values())
@@ -207,29 +191,6 @@ class TokenHistogram:
             out["params"] = self.params.to_json_dict()
             out["sensitivity"] = self.sensitivity.to_json_dict()
         return out
-
-
-def histogram_from_json(obj: dict) -> TokenHistogram:
-    """Read a true or a released histogram written by ``to_json_dict``."""
-    release = {}
-    if "params" in obj:
-        params, sens = obj["params"], obj["sensitivity"]
-        release = {
-            "params": PrivacyParams(epsilon=float(params["epsilon"]),
-                                    delta=float(params["delta"]),
-                                    mechanism=Mechanism(params["mechanism"])),
-            "sensitivity": SensitivityBound(l1=float(sens["l1"]), l2=float(sens["l2"])),
-        }
-    per_class = {
-        label: {str(t): int(c) for t, c in obj["per_class"].get(label.display, {}).items()}
-        for label in LABELS
-    }
-    return TokenHistogram(
-        per_class=per_class,
-        vocab_limit=int(obj["vocab_limit"]),
-        fingerprint=str(obj.get("fingerprint", "")),
-        **release,
-    )
 
 
 def build_histogram(corpus: Corpus, vocab_limit: int = 500) -> TokenHistogram:
@@ -263,37 +224,26 @@ def perturb_histogram(
     params: PrivacyParams,
     sensitivity: SensitivityBound,
     rng: np.random.Generator,
-    *,
-    noise_fn: Callable[[], float] | None = None,
 ) -> TokenHistogram:
     """Noise every histogram cell and round-clamp to nonnegative integers.
 
     Cells are visited in a fixed order (classes in enum order, tokens
-    lexicographically) with one fresh draw each, so a seeded generator
+    lexicographically) with one fresh scalar draw each, so a seeded generator
     reproduces the release exactly. Rounding is round-half-to-even.
-    ``noise_fn`` is a test hook replacing the mechanism draw; calibration is
-    still validated first so parameter errors always surface.
     """
     scale = noise_scale(params, sensitivity)
-    if noise_fn is None:
-        if params.mechanism is Mechanism.LAPLACE:
-            def noise_fn() -> float:
-                return sample_laplace(rng, scale)
-        else:
-            def noise_fn() -> float:
-                return sample_gaussian(rng, scale)
+    draw = sample_laplace if params.mechanism is Mechanism.LAPLACE else sample_gaussian
 
     noisy: dict[ClassLabel, dict[str, int]] = {}
     for label in LABELS:
         cells = histogram.per_class.get(label, {})
         out: dict[str, int] = {}
         for token in sorted(cells):
-            out[token] = max(0, int(round(cells[token] + noise_fn())))
+            out[token] = max(0, int(round(cells[token] + draw(rng, scale))))
         noisy[label] = out
     return TokenHistogram(
         per_class=noisy,
         vocab_limit=histogram.vocab_limit,
-        fingerprint=histogram.fingerprint,
         params=params,
         sensitivity=sensitivity,
     )

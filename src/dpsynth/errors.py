@@ -47,10 +47,6 @@ class NonDivisibleSize(DpSynthError):
 
 # ---------------------------------------------------------------- dp
 
-class InvalidMechanism(DpSynthError):
-    """Calibration called with the wrong mechanism."""
-
-
 class NonPositiveEpsilon(DpSynthError):
     """epsilon must be strictly positive."""
 
@@ -60,7 +56,8 @@ class InvalidDelta(DpSynthError):
 
 
 class EpsilonOutOfRange(DpSynthError):
-    """epsilon outside the validity region of the analytic Gaussian calibration."""
+    """epsilon with no valid noise calibration: outside (0, 1] for the
+    Gaussian mechanism, or giving a scale that is not positive and finite."""
 
 
 # ---------------------------------------------------------------- synth
@@ -83,10 +80,6 @@ class AuthMissing(DpSynthError):
 
 class QuotaUnreachable(DpSynthError):
     """Generation loop hit its call cap before filling per-class quotas."""
-
-
-class VocabMismatch(DpSynthError):
-    """Histogram fingerprint disagrees with the current tokenizer/vocab settings."""
 
 
 # ---------------------------------------------------------------- eval

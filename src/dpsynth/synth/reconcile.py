@@ -33,8 +33,8 @@ from bisect import bisect_left
 import numpy as np
 
 from ..corpus import LABELS, Corpus, NewsRecord, tokenize
-from ..dp import TokenHistogram, histogram_fingerprint
-from ..errors import InsufficientRecords, VocabMismatch
+from ..dp import TokenHistogram
+from ..errors import InsufficientRecords
 
 # A field whose tokens were all deleted is rendered as ".": non-empty text
 # that tokenizes to nothing, so record invariants hold and counts do not move.
@@ -50,18 +50,10 @@ def reconcile_corpus(
 ) -> Corpus:
     """Return a copy of ``synthetic`` whose counts match ``target`` exactly.
 
-    The target must have been built with the current tokenizer and its own
-    vocab_limit (fingerprint check, VocabMismatch otherwise). Postcondition,
-    verified by an independent recount before returning: for every class and
-    every token in the target vocabulary, the exact occurrence count in the
-    result equals the target count.
+    Postcondition, verified by an independent recount before returning: for
+    every class and every token in the target vocabulary, the exact
+    occurrence count in the result equals the target count.
     """
-    expected = histogram_fingerprint(target.vocab_limit)
-    if target.fingerprint != expected:
-        raise VocabMismatch(
-            f"target fingerprint {target.fingerprint!r} does not match {expected!r}"
-        )
-
     # Working token state; records are re-rendered only if edited.
     titles = [tokenize(r.title) for r in synthetic.records]
     descs = [tokenize(r.description) for r in synthetic.records]

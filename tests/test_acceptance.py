@@ -33,8 +33,7 @@ from dpsynth.dp import (
     PrivacyParams,
     SensitivityBound,
     build_histogram,
-    gaussian_sigma,
-    laplace_scale,
+    noise_scale,
     perturb_histogram,
     sample_gaussian,
     sample_laplace,
@@ -170,12 +169,12 @@ def test_sampler_moments(announce):
 
 
 def test_calibration_exactness(announce):
-    sigma = gaussian_sigma(
+    sigma = noise_scale(
         PrivacyParams(epsilon=1.0, delta=1e-5, mechanism=Mechanism.GAUSSIAN),
         SensitivityBound(l1=1.0, l2=1.0),
     )
     direct = 1.0 * math.sqrt(2.0 * math.log(1.25 / 1e-5)) / 1.0
-    b = laplace_scale(
+    b = noise_scale(
         PrivacyParams(epsilon=0.5), SensitivityBound(l1=1.0, l2=1.0)
     )
     ok = abs(sigma - direct) < 1e-10 and b == 2.0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -126,6 +127,11 @@ class TestExperimentConfig:
         assert ExperimentConfig(icl_shots=(4, 0, 4)).icl_shots == (0, 4)
         with pytest.raises(ValueError):
             ExperimentConfig(icl_shots=(3,))
+
+    def test_icl_needs_shot_counts(self):
+        with pytest.raises(ValueError, match="icl_shots"):
+            ExperimentConfig(models=("mnb", "icl"), icl_shots=())
+        assert ExperimentConfig(models=("mnb",), icl_shots=()).icl_shots == ()
 
     def test_epsilon_floor_resolution(self):
         config = ExperimentConfig()
@@ -430,6 +436,42 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     assert out.returncode == 0, out.stderr
 
 
+def test_traced_generate_writes_the_untraced_outputs(tmp_path):
+    # The tracer also reads what the wrapped calls take and return (the
+    # histogram behind each draw, the corpus before reconciliation); a
+    # re-shaped argument or result fails the traced run, drops its counts
+    # or changes its outputs.
+    import dpsynth
+
+    src = Path(dpsynth.__file__).resolve().parents[1]
+    tracer = src.parent / "perfbench" / "tracer.py"
+    configs = {
+        name: write_config(tmp_path, f"{name}.json", dataset_path="mock:96", n_train=48,
+                           n_test=48, gen={"total_records": 32, "batch_size": 8},
+                           output_dir=str(tmp_path / name))
+        for name in ("plain", "traced")
+    }
+    assert main(["generate", "--config", str(configs["plain"])]) == 0
+    trace = tmp_path / "trace.json"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, str(tracer), str(trace), "generate",
+                          "--config", str(configs["traced"])],
+                         env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    for artifact in ("synthetic.jsonl", "histogram_noisy.json"):
+        traced = (tmp_path / "traced" / artifact).read_bytes()
+        assert traced == (tmp_path / "plain" / artifact).read_bytes(), artifact
+    counts = read_json(trace)["counts"]
+    assert "dp.cells_clamped" in counts
+    assert "synth.reconcile.insertions" in counts
+
+
+@pytest.mark.parametrize("module", ["dpsynth", "dpsynth.synth", "dpsynth.evaluation"])
+def test_every_exported_name_resolves(module):
+    package = importlib.import_module(module)
+    assert [name for name in package.__all__ if not hasattr(package, name)] == []
+
+
 # ---------------------------------------------------------------- generate
 
 
@@ -649,6 +691,9 @@ class TestUncalibratableRelease:
         ["generate", "--mechanism", "gaussian", "--delta", "0"],
         ["generate", "--vocab-limit", "0"],
         ["sweep", "--mechanism", "gaussian", "--epsilons", "0.5,10"],
+        ["generate", "--epsilon", "inf"],      # noise scale 0
+        ["generate", "--epsilon", "1e-320"],   # noise scale overflows to inf
+        ["sweep", "--epsilons", "1,inf"],
     ])
     def test_fails_in_the_config_stage(self, tmp_path, capsys, monkeypatch, argv):
         calls = []
@@ -687,6 +732,18 @@ class TestOutputDirectory:
         assert main([command, "--config", str(path), *self.INPUTS[command], *argv]) == 1
         assert capsys.readouterr().err.startswith("error: stage 'config':")
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, extra, argv", [
+    ("evaluate", {}, ["--synthetic", "s.jsonl", "--models", "icl", "--icl-shots", ""]),
+    ("sweep", {"icl_shots": []}, ["--models", "icl", "--epsilons", "0,1"]),
+])
+def test_icl_without_shot_counts_fails_in_the_config_stage(tmp_path, capsys, command,
+                                                            extra, argv):
+    path = write_config(tmp_path, **extra)
+    assert main([command, "--config", str(path), *argv]) == 1
+    assert capsys.readouterr().err.startswith("error: stage 'config':")
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------- golden outputs

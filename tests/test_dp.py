@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dpsynth.corpus import ClassLabel
+import dpsynth.dp as dp
+from dpsynth.corpus import LABELS, ClassLabel
 from dpsynth.dp import (
     DEFAULT_SENSITIVITY,
     BudgetLedger,
@@ -16,21 +17,13 @@ from dpsynth.dp import (
     build_histogram,
     charge,
     gaussian_from_uniforms,
-    gaussian_sigma,
-    histogram_from_json,
     laplace_from_uniform,
-    laplace_scale,
     noise_scale,
     perturb_histogram,
     sample_gaussian,
     sample_laplace,
 )
-from dpsynth.errors import (
-    EpsilonOutOfRange,
-    InvalidDelta,
-    InvalidMechanism,
-    NonPositiveEpsilon,
-)
+from dpsynth.errors import EpsilonOutOfRange, InvalidDelta, NonPositiveEpsilon
 from dpsynth.rngutil import make_rng
 
 from helpers import corp, laplace_pdf, rec
@@ -67,12 +60,12 @@ def test_sensitivity_bound_validation():
 
 def test_laplace_scale_exact():
     params = PrivacyParams(epsilon=0.5)
-    assert laplace_scale(params, SensitivityBound(1.0, 1.0)) == 2.0
+    assert noise_scale(params, SensitivityBound(1.0, 1.0)) == 2.0
 
 
 def test_gaussian_sigma_matches_direct_formula():
     params = PrivacyParams(epsilon=1.0, delta=1e-5, mechanism=Mechanism.GAUSSIAN)
-    sigma = gaussian_sigma(params, SensitivityBound(1.0, 1.0))
+    sigma = noise_scale(params, SensitivityBound(1.0, 1.0))
     expected = math.sqrt(2.0 * math.log(1.25 / 1e-5)) * 1.0 / 1.0
     assert abs(sigma - expected) < 1e-10
     assert str(sigma).startswith("4.84480")
@@ -81,20 +74,10 @@ def test_gaussian_sigma_matches_direct_formula():
 def test_gaussian_sigma_epsilon_range():
     sens = SensitivityBound(1.0, 1.0)
     ok = PrivacyParams(epsilon=1.0, delta=1e-5, mechanism=Mechanism.GAUSSIAN)
-    gaussian_sigma(ok, sens)   # boundary epsilon accepted
+    noise_scale(ok, sens)   # boundary epsilon accepted
     too_big = PrivacyParams(epsilon=1.5, delta=1e-5, mechanism=Mechanism.GAUSSIAN)
     with pytest.raises(EpsilonOutOfRange):
-        gaussian_sigma(too_big, sens)
-
-
-def test_mechanism_mismatch():
-    sens = SensitivityBound(1.0, 1.0)
-    lap = PrivacyParams(epsilon=1.0)
-    gau = PrivacyParams(epsilon=1.0, delta=1e-5, mechanism=Mechanism.GAUSSIAN)
-    with pytest.raises(InvalidMechanism):
-        gaussian_sigma(lap, sens)
-    with pytest.raises(InvalidMechanism):
-        laplace_scale(gau, sens)
+        noise_scale(too_big, sens)
 
 
 def test_noise_scale_dispatch():
@@ -104,6 +87,17 @@ def test_noise_scale_dispatch():
     assert noise_scale(gau, sens) == pytest.approx(
         2.0 * math.sqrt(2.0 * math.log(1.25 / 1e-5)) / 0.5
     )
+
+
+@pytest.mark.parametrize("mechanism, epsilon", [
+    (Mechanism.LAPLACE, math.inf),       # scale 0: no noise at all
+    (Mechanism.LAPLACE, 1e-320),         # scale overflows to inf
+    (Mechanism.GAUSSIAN, 1e-320),
+])
+def test_noise_scale_must_be_positive_and_finite(mechanism, epsilon):
+    params = PrivacyParams(epsilon=epsilon, delta=1e-5, mechanism=mechanism)
+    with pytest.raises(EpsilonOutOfRange):
+        noise_scale(params, DEFAULT_SENSITIVITY)
 
 
 # ---------------------------------------------------------------- samplers
@@ -201,30 +195,31 @@ def test_perturb_histogram_deterministic():
     assert a.params == _params()
 
 
-def test_perturb_histogram_clamps_to_zero():
+def test_perturb_histogram_clamps_to_zero(monkeypatch):
     h = _hist()
-    noisy = perturb_histogram(h, _params(), SensitivityBound(2.0, 1.0),
-                              make_rng(0), noise_fn=lambda: -100.0)
+    monkeypatch.setattr(dp, "sample_laplace", lambda rng, b: -100.0)
+    noisy = perturb_histogram(h, _params(), SensitivityBound(2.0, 1.0), make_rng(0))
     for label in noisy.per_class:
         assert all(v == 0 for v in noisy.per_class[label].values())
 
 
-def test_perturb_histogram_rounds_half_to_even():
+def test_perturb_histogram_rounds_half_to_even(monkeypatch):
     h = _hist()
-    noisy = perturb_histogram(h, _params(), SensitivityBound(2.0, 1.0),
-                              make_rng(0), noise_fn=lambda: 0.5)
+    monkeypatch.setattr(dp, "sample_laplace", lambda rng, b: 0.5)
+    noisy = perturb_histogram(h, _params(), SensitivityBound(2.0, 1.0), make_rng(0))
     world = noisy.per_class[ClassLabel.WORLD]
     assert world["apple"] == 2     # 2.5 -> 2
     assert world["banana"] == 2    # 1.5 -> 2
     assert world["cherry"] == 2
 
 
-def test_perturb_histogram_validates_params_even_with_noise_fn():
+def test_perturb_histogram_validates_params_even_with_noise_fn(monkeypatch):
+    # A substituted draw cannot fail; the calibration error must still surface.
     h = _hist()
+    monkeypatch.setattr(dp, "sample_gaussian", lambda rng, sigma: 0.0)
     bad = PrivacyParams(epsilon=2.0, delta=1e-5, mechanism=Mechanism.GAUSSIAN)
     with pytest.raises(EpsilonOutOfRange):
-        perturb_histogram(h, bad, SensitivityBound(2.0, 1.0), make_rng(0),
-                          noise_fn=lambda: 0.0)
+        perturb_histogram(h, bad, SensitivityBound(2.0, 1.0), make_rng(0))
 
 
 def test_noisy_histogram_rejects_negative_cells():
@@ -232,7 +227,6 @@ def test_noisy_histogram_rejects_negative_cells():
         TokenHistogram(
             per_class={ClassLabel.WORLD: {"aa": -1}},
             vocab_limit=5,
-            fingerprint="unigram-lower-min2-v1:k5",
             params=_params(),
             sensitivity=SensitivityBound(1.0, 1.0),
         )
@@ -241,10 +235,17 @@ def test_noisy_histogram_rejects_negative_cells():
 def test_noisy_histogram_json_roundtrip():
     h = _hist()
     noisy = perturb_histogram(h, _params(), SensitivityBound(2.0, 1.0), make_rng(1))
-    again = histogram_from_json(json.loads(json.dumps(noisy.to_json_dict())))
-    assert again.per_class == noisy.per_class
-    assert again.params == noisy.params
-    assert again.sensitivity == noisy.sensitivity
+    written = json.loads(json.dumps(noisy.to_json_dict()))
+    assert list(written) == ["fingerprint", "vocab_limit", "per_class", "params",
+                             "sensitivity"]
+    assert written["fingerprint"] == "unigram-lower-min2-v1:k8"
+    assert written["per_class"] == {
+        label.display: noisy.per_class[label] for label in LABELS
+    }
+    for cells in written["per_class"].values():
+        assert list(cells) == sorted(cells)
+    assert written["params"] == {"epsilon": 1.0, "delta": 0.0, "mechanism": "laplace"}
+    assert written["sensitivity"] == {"l1": 2.0, "l2": 1.0}
 
 
 # ---------------------------------------------------------------- ledger

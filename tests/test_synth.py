@@ -40,7 +40,6 @@ from dpsynth.errors import (
     InsufficientRecords,
     MissingClassDemo,
     QuotaUnreachable,
-    VocabMismatch,
 )
 from dpsynth.rngutil import make_rng, subseed
 from dpsynth.synth import backends
@@ -1035,14 +1034,6 @@ class TestReconcile:
         assert out.records[0].title == "."
         assert out.records[0].description == "."
         assert tokenize(out.records[0].title) == []
-
-    def test_fingerprint_mismatch_raises(self):
-        corpus = Corpus((world_record("alpha", "beta"),))
-        target = TokenHistogram(
-            per_class={label: {} for label in LABELS}, vocab_limit=3, fingerprint="other-tok:k3"
-        )
-        with pytest.raises(VocabMismatch):
-            reconcile_corpus(corpus, target, make_rng(0))
 
     def test_insertions_need_records_in_class(self):
         corpus = Corpus((world_record("alpha", "beta"),))
