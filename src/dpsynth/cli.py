@@ -45,31 +45,24 @@ from .dp import (
     perturb_histogram,
 )
 from .errors import DpSynthError, NoModelsRequested, StageError
-from .evaluation import (
+from .evaluation.features import fit_tfidf, transform_corpus
+from .evaluation.icl import VALID_SHOTS, IclConfig, icl_evaluate
+from .evaluation.linear import predict
+from .evaluation.mnb import train_mnb
+from .evaluation.report import (
     EvalReport,
-    IclConfig,
     evaluate,
-    fit_tfidf,
-    icl_evaluate,
-    predict,
     render_icl_table,
     render_model_table,
     render_sweep_table,
-    train_mnb,
-    train_svm,
-    transform_corpus,
 )
-from .evaluation.icl import VALID_SHOTS
+from .evaluation.svm import train_svm
 from .audit import collect_confidences, compare_leakage, threshold_attack
 from .rngutil import sub_rng, subseed
-from .synth import (
-    BackendSpec,
-    GenerationConfig,
-    make_backend,
-    mock_original_corpus,
-    reconcile_corpus,
-    run_generation,
-)
+from .synth.backends import BackendSpec, make_backend
+from .synth.generate import GenerationConfig, run_generation
+from .synth.mock import mock_original_corpus
+from .synth.reconcile import reconcile_corpus
 
 VALID_MODELS = ("mnb", "svm", "icl")
 
@@ -106,7 +99,7 @@ class ExperimentConfig:
     output_dir: str = "runs"
     sweep_seeds: int = 1
     cache_enabled: bool = True
-    cache_dir: str = ""
+    cache_dir: str = ".dpsynth-cache"
 
     def __post_init__(self):
         if self.mechanism not in ("laplace", "gaussian"):
@@ -119,6 +112,8 @@ class ExperimentConfig:
             raise ValueError("sweep_seeds must be >= 1")
         if self.vocab_limit < 1:
             raise ValueError("vocab_limit must be >= 1")
+        if not self.cache_dir:
+            raise ValueError("cache_dir must not be empty")
         deduped = []
         for m in self.models:
             if m not in VALID_MODELS:
@@ -332,7 +327,7 @@ def _calibration_warning(config: ExperimentConfig) -> None:
 def _make_client(config: ExperimentConfig):
     return make_backend(
         config.backend,
-        cache_dir=config.cache_dir or None,
+        cache_dir=config.cache_dir,
         cache_enabled=config.cache_enabled,
     )
 
@@ -783,3 +778,7 @@ def main(argv=None) -> int:
 
 def console_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

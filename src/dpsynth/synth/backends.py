@@ -28,9 +28,6 @@ from ..errors import AuthMissing, BackendUnavailable
 from .mock import mock_classification_response, mock_generation_response, requested_count
 from .prompts import CLASSIFICATION_HEAD
 
-CACHE_DIR_ENV = "DPSYNTH_CACHE_DIR"
-DEFAULT_CACHE_DIR = ".dpsynth-cache"
-
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 _BACKOFF_BASE_SECONDS = 0.5
 
@@ -55,12 +52,6 @@ class BackendSpec:
             raise ValueError("retry_limit must be >= 0")
         if self.kind == "http" and (not self.endpoint_url or not self.model_name):
             raise ValueError("http backend requires endpoint_url and model_name")
-
-
-def resolve_cache_dir(explicit: str | Path | None = None) -> Path:
-    if explicit:
-        return Path(explicit)
-    return Path(os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
 
 
 class ResponseCache:
@@ -298,10 +289,10 @@ class HttpClient(_Counted):
         return content
 
 
-def make_backend(spec: BackendSpec, *, cache_dir: str | Path | None = None,
+def make_backend(spec: BackendSpec, *, cache_dir: str | Path = ".dpsynth-cache",
                  cache_enabled: bool = True, transport=None, sleep=time.sleep):
     """Construct the client for a BackendSpec."""
     if spec.kind == "mock":
         return MockClient()
-    cache = ResponseCache(resolve_cache_dir(cache_dir)) if cache_enabled else None
+    cache = ResponseCache(cache_dir) if cache_enabled else None
     return HttpClient(spec, cache=cache, transport=transport, sleep=sleep)

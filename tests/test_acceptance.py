@@ -38,16 +38,11 @@ from dpsynth.dp import (
     sample_gaussian,
     sample_laplace,
 )
-from dpsynth.evaluation import (
-    evaluate,
-    fit_tfidf,
-    predict,
-    probabilities,
-    train_mnb,
-    train_svm,
-    transform,
-    transform_corpus,
-)
+from dpsynth.evaluation.features import fit_tfidf, transform, transform_corpus
+from dpsynth.evaluation.linear import predict, probabilities
+from dpsynth.evaluation.mnb import train_mnb
+from dpsynth.evaluation.report import evaluate
+from dpsynth.evaluation.svm import train_svm
 from dpsynth.rngutil import make_rng, sub_rng, subseed
 from dpsynth.synth.backends import BackendSpec, make_backend
 from dpsynth.synth.generate import GenerationConfig, run_generation

@@ -17,8 +17,10 @@ from dpsynth.audit import (
 )
 from dpsynth.corpus import LABELS, ClassLabel, Corpus
 from dpsynth.errors import OverlapDetected, SingleClassInput
-from dpsynth.evaluation import fit_tfidf, probabilities, train_mnb, train_svm, transform_corpus
-from dpsynth.evaluation.svm import _logistic
+from dpsynth.evaluation.features import fit_tfidf, transform_corpus
+from dpsynth.evaluation.linear import probabilities
+from dpsynth.evaluation.mnb import train_mnb
+from dpsynth.evaluation.svm import _logistic, train_svm
 from dpsynth.rngutil import make_rng, subseed
 from dpsynth.synth.mock import mock_original_corpus
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import importlib
 import json
 import os
 import re
@@ -132,6 +131,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="icl_shots"):
             ExperimentConfig(models=("mnb", "icl"), icl_shots=())
         assert ExperimentConfig(models=("mnb",), icl_shots=()).icl_shots == ()
+
+    def test_empty_cache_dir_is_rejected(self):
+        # An empty path would put the cache files in the working directory.
+        with pytest.raises(ValueError, match="cache_dir"):
+            ExperimentConfig(cache_dir="")
 
     def test_epsilon_floor_resolution(self):
         config = ExperimentConfig()
@@ -466,10 +470,56 @@ def test_traced_generate_writes_the_untraced_outputs(tmp_path):
     assert "synth.reconcile.insertions" in counts
 
 
-@pytest.mark.parametrize("module", ["dpsynth", "dpsynth.synth", "dpsynth.evaluation"])
-def test_every_exported_name_resolves(module):
-    package = importlib.import_module(module)
-    assert [name for name in package.__all__ if not hasattr(package, name)] == []
+def test_python_m_dpsynth_cli_runs_the_command(tmp_path):
+    import dpsynth
+
+    env = {**os.environ, "PYTHONPATH": str(Path(dpsynth.__file__).resolve().parents[1])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "dpsynth.cli", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True)
+
+    bare = run()
+    assert bare.returncode == 2
+    assert bare.stderr.startswith("usage: dpsynth")
+    out = run("generate", "--dataset", "mock:96", "--n-train", "48", "--n-test", "48",
+              "--total-records", "32", "--out", "D")
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "D" / "synthetic.jsonl").is_file()
+
+
+def test_leaf_modules_load_only_what_they_import():
+    # Importing one module must not pull in the rest of the package, so no
+    # package __init__ may import its submodules.
+    import dpsynth
+
+    code = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return {m for m in sys.modules if m.split('.')[0] == 'dpsynth'}\n"
+        "import dpsynth.corpus\n"
+        "corpus = loaded()\n"
+        "import dpsynth.dp\n"
+        "print(json.dumps([sorted(corpus), sorted(loaded() - corpus)]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dpsynth.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert json.loads(out.stdout) == [
+        ["dpsynth", "dpsynth.corpus", "dpsynth.errors", "dpsynth.rngutil"],
+        ["dpsynth.dp"],
+    ]
+
+
+def test_every_source_directory_is_a_package():
+    # setuptools' packages.find skips a directory without __init__.py, so
+    # the wheel would leave it out while imports from src/ still work.
+    import dpsynth
+
+    root = Path(dpsynth.__file__).resolve().parent
+    missing = [str(d.relative_to(root.parent)) for d in [root, *root.rglob("*")]
+               if d.is_dir() and any(d.glob("*.py")) and not (d / "__init__.py").is_file()]
+    assert missing == []
 
 
 # ---------------------------------------------------------------- generate

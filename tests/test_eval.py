@@ -19,26 +19,19 @@ from dpsynth.errors import (
     SolverDidNotConverge,
 )
 from dpsynth.evaluation import svm as svm_module
-from dpsynth.evaluation import (
+from dpsynth.evaluation.features import fit_tfidf, transform, transform_corpus
+from dpsynth.evaluation.icl import IclConfig, icl_evaluate, parse_label_response, select_icl_demos
+from dpsynth.evaluation.linear import predict, probabilities, scores
+from dpsynth.evaluation.mnb import train_mnb
+from dpsynth.evaluation.report import (
     EvalReport,
-    IclConfig,
     evaluate,
-    fit_tfidf,
-    icl_evaluate,
-    parse_label_response,
-    predict,
-    probabilities,
     render_icl_table,
     render_model_table,
     render_sweep_table,
     rep_shots,
-    scores,
-    select_icl_demos,
-    train_mnb,
-    train_svm,
-    transform,
-    transform_corpus,
 )
+from dpsynth.evaluation.svm import train_svm
 from dpsynth.rngutil import make_rng, subseed
 from dpsynth.synth.backends import BackendSpec, MockClient
 from dpsynth.synth.mock import mock_original_corpus

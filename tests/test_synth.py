@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dpsynth.cli import ExperimentConfig, _make_client
 from dpsynth.corpus import (
     LABELS,
     ClassLabel,
@@ -49,7 +50,6 @@ from dpsynth.synth.backends import (
     MockClient,
     ResponseCache,
     make_backend,
-    resolve_cache_dir,
 )
 from dpsynth.synth.generate import (
     GenerationConfig,
@@ -347,12 +347,17 @@ class TestHttpBackend:
         client, _, _ = http_client(tmp_path, [(200, chat_body("hi"))])
         assert isinstance(client, HttpClient)
 
-    def test_resolve_cache_dir_precedence(self, monkeypatch, tmp_path):
+    def test_cache_dir_comes_from_the_config_alone(self, monkeypatch, tmp_path):
+        # The manifest records config.cache_dir, so nothing else may move the
+        # cache: a rerun from the manifest must find the same responses.
         monkeypatch.setenv("DPSYNTH_CACHE_DIR", str(tmp_path / "from-env"))
-        assert resolve_cache_dir(tmp_path / "explicit") == tmp_path / "explicit"
-        assert resolve_cache_dir(None) == tmp_path / "from-env"
-        monkeypatch.delenv("DPSYNTH_CACHE_DIR")
-        assert resolve_cache_dir(None) == Path(".dpsynth-cache")
+        monkeypatch.chdir(tmp_path)
+        config = ExperimentConfig(backend=http_spec())
+        assert _make_client(config).cache.directory == Path(".dpsynth-cache")
+        assert make_backend(http_spec()).cache.directory == Path(".dpsynth-cache")
+        explicit = ExperimentConfig(backend=http_spec(), cache_dir=str(tmp_path / "explicit"))
+        assert _make_client(explicit).cache.directory == tmp_path / "explicit"
+        assert not (tmp_path / "from-env").exists()
 
     def test_request_body_schema(self, tmp_path):
         client, transport, _ = http_client(tmp_path, [(200, chat_body("out"))])
