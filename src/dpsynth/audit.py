@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .corpus import LABELS, Corpus
-from .errors import OverlapDetected, SingleClassInput
 from .evaluation.features import TfIdfModel, transform_corpus
 from .evaluation.linear import LinearModel, probabilities
 from .rngutil import sub_rng
@@ -86,7 +85,7 @@ def collect_confidences(
         r.title for r in nonmembers.records if (r.title, r.description) in member_keys
     ]
     if clash:
-        raise OverlapDetected(
+        raise ValueError(
             f"{len(clash)} record(s) appear in both member and non-member sets; "
             f"first title: {clash[0]!r}"
         )
@@ -116,7 +115,7 @@ def threshold_attack(members, nonmembers) -> MiaResult:
     member_conf = np.asarray(members, dtype=np.float64)
     nonmember_conf = np.asarray(nonmembers, dtype=np.float64)
     if member_conf.size == 0 or nonmember_conf.size == 0:
-        raise SingleClassInput("need at least one member and one non-member confidence")
+        raise ValueError("need at least one member and one non-member confidence")
 
     n_m = member_conf.size
     n_n = nonmember_conf.size

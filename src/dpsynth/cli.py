@@ -44,7 +44,6 @@ from .dp import (
     noise_scale,
     perturb_histogram,
 )
-from .errors import DpSynthError, NoModelsRequested, StageError
 from .evaluation.features import fit_tfidf, transform_corpus
 from .evaluation.icl import VALID_SHOTS, IclConfig, icl_evaluate
 from .evaluation.linear import predict
@@ -262,6 +261,14 @@ def _finish_manifest(
 
 # ---------------------------------------------------------------- stages
 
+class StageError(Exception):
+    """A failure tagged with the pipeline stage that raised it: the one
+    error ``main`` reports as a single line before exiting 1."""
+
+    def __init__(self, stage: str, cause: Exception):
+        super().__init__(f"stage {stage!r}: {cause}")
+
+
 @contextmanager
 def stage(name: str):
     """Tag any failure below with the pipeline stage that raised it."""
@@ -269,9 +276,7 @@ def stage(name: str):
         yield
     except StageError:
         raise
-    except BaseException as exc:
-        if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-            raise
+    except Exception as exc:
         raise StageError(name, exc) from exc
 
 
@@ -335,23 +340,24 @@ def _make_client(config: ExperimentConfig):
 def _ledger_for_input(synthetic_file: str | Path) -> tuple[BudgetLedger, bool]:
     """Recover the budget spent producing a synthetic file, if recorded.
 
-    Looks for manifest_generate.json next to the file. Returns an empty
-    ledger and a provenance-unknown flag when nothing usable is found.
+    Reads manifest_generate.json next to the file. Returns an empty ledger
+    and a provenance-unknown flag when there is no such file; a manifest
+    that cannot be read as a ledger raises.
     """
     sibling = Path(synthetic_file).parent / "manifest_generate.json"
     try:
         data = json.loads(sibling.read_text(encoding="utf-8"))
-        entries = []
-        for entry in data["budget_ledger"]["entries"]:
-            params = PrivacyParams(
-                epsilon=float(entry["epsilon"]),
-                delta=float(entry["delta"]),
-                mechanism=Mechanism(entry["mechanism"]),
-            )
-            entries.append((str(entry["label"]), params))
-        return BudgetLedger(entries=tuple(entries)), True
-    except Exception:
+    except FileNotFoundError:
         return BudgetLedger(), False
+    entries = []
+    for entry in data["budget_ledger"]["entries"]:
+        params = PrivacyParams(
+            epsilon=float(entry["epsilon"]),
+            delta=float(entry["delta"]),
+            mechanism=Mechanism(entry["mechanism"]),
+        )
+        entries.append((str(entry["label"]), params))
+    return BudgetLedger(entries=tuple(entries)), True
 
 
 # ---------------------------------------------------------------- release
@@ -500,13 +506,14 @@ def cmd_evaluate(config: ExperimentConfig, synthetic_file: str | Path) -> RunMan
     started_at = _utc_now()
     with stage("config"):
         if not config.models:
-            raise NoModelsRequested("evaluation needs at least one of mnb, svm, icl")
+            raise ValueError("evaluation needs at least one of mnb, svm, icl")
         out_dir = Path(config.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 
     train, test = _load_original(config)
     with stage("load-synthetic"):
         synthetic = load_agnews(synthetic_file, CorpusFormat.JSONL)
+        ledger, known = _ledger_for_input(synthetic_file)
 
     fp = config.fingerprint()
     reports: list[EvalReport] = []
@@ -538,7 +545,6 @@ def cmd_evaluate(config: ExperimentConfig, synthetic_file: str | Path) -> RunMan
         md_path = out_dir / "evaluation.md"
         md_path.write_text(markdown, encoding="utf-8")
 
-        ledger, known = _ledger_for_input(synthetic_file)
         manifest = _finish_manifest(
             "evaluate", config, started_at, out_dir,
             outputs={"reports_json": json_path, "reports_markdown": md_path},
@@ -568,7 +574,7 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
         if len(set(config.epsilons)) < len(config.epsilons):
             raise ValueError(f"a sweep cannot take repeated epsilon values: {config.epsilons}")
         if not config.models:
-            raise NoModelsRequested("sweep needs at least one of mnb, svm, icl")
+            raise ValueError("sweep needs at least one of mnb, svm, icl")
         config.check_calibration(config.epsilons)
         out_dir = Path(config.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -657,6 +663,7 @@ def cmd_audit(config: ExperimentConfig, synthetic_file: str | Path) -> RunManife
     train, test = _load_original(config)
     with stage("load-synthetic"):
         synthetic = load_agnews(synthetic_file, CorpusFormat.JSONL)
+        ledger, known = _ledger_for_input(synthetic_file)
 
     with stage("train-models"):
         features_orig, model_orig = _fit("mnb", train)
@@ -674,7 +681,6 @@ def cmd_audit(config: ExperimentConfig, synthetic_file: str | Path) -> RunManife
 
     with stage("report"):
         json_path = _write_json(out_dir / "audit.json", report.to_json_dict())
-        ledger, known = _ledger_for_input(synthetic_file)
         manifest = _finish_manifest(
             "audit", config, started_at, out_dir,
             outputs={"audit_json": json_path},
@@ -770,7 +776,7 @@ def main(argv=None) -> int:
             cmd_sweep(config)
         else:
             cmd_audit(config, synthetic)
-    except DpSynthError as exc:
+    except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

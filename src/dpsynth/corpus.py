@@ -21,13 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptyFile,
-    InsufficientRecords,
-    MalformedRow,
-    NonDivisibleSize,
-    UnknownLabel,
-)
 from .rngutil import make_rng
 
 # Bump when tokenize() changes; embedded in histogram fingerprints.
@@ -79,15 +72,12 @@ def normalize_label(raw: str) -> ClassLabel:
 
     Matching is case-insensitive and whitespace-trimmed; the alias table
     covers the display names plus common variant spellings. Raises
-    UnknownLabel for anything else.
+    ValueError for anything else.
     """
-    if not isinstance(raw, str):
-        raise UnknownLabel(str(raw))
-    key = raw.strip().lower()
-    try:
-        return _LABEL_ALIASES[key]
-    except KeyError:
-        raise UnknownLabel(raw) from None
+    label = _LABEL_ALIASES.get(raw.strip().lower()) if isinstance(raw, str) else None
+    if label is None:
+        raise ValueError(f"unknown class label: {str(raw)!r}")
+    return label
 
 
 @dataclass(frozen=True)
@@ -153,7 +143,7 @@ def load_agnews(path: str | Path, fmt: CorpusFormat | str = CorpusFormat.CSV) ->
     CSV rows are (class index 1..4, title, description), no header, fields
     double-quoted with embedded quotes doubled. JSONL rows are objects with
     exactly the keys Title, Description, Class_Label (extra keys ignored).
-    Raises MalformedRow (with 1-based row index), UnknownLabel, or EmptyFile.
+    Raises ValueError, naming the 1-based row when one is at fault.
     """
     fmt = _coerce_format(fmt)
     path = Path(path)
@@ -170,24 +160,24 @@ def load_agnews(path: str | Path, fmt: CorpusFormat | str = CorpusFormat.CSV) ->
                     continue
                 records.append(_record_from_jsonl_line(i, line))
     if not records:
-        raise EmptyFile(f"no records in {path}")
+        raise ValueError(f"no records in {path}")
     return Corpus(tuple(records))
 
 
 def _record_from_csv_row(index: int, row: list[str]) -> NewsRecord:
     if len(row) != 3:
-        raise MalformedRow(index, f"expected 3 columns, found {len(row)}")
+        raise ValueError(f"row {index}: expected 3 columns, found {len(row)}")
     raw_idx, title, description = row
     try:
         class_idx = int(raw_idx.strip())
     except ValueError:
-        raise UnknownLabel(raw_idx) from None
+        raise ValueError(f"row {index}: unknown class label: {raw_idx!r}") from None
     if class_idx not in _CSV_INDEX_TO_LABEL:
-        raise UnknownLabel(raw_idx.strip())
+        raise ValueError(f"row {index}: unknown class label: {raw_idx.strip()!r}")
     if not title.strip():
-        raise MalformedRow(index, "empty title")
+        raise ValueError(f"row {index}: empty title")
     if not description.strip():
-        raise MalformedRow(index, "empty description")
+        raise ValueError(f"row {index}: empty description")
     return NewsRecord(title, description, _CSV_INDEX_TO_LABEL[class_idx])
 
 
@@ -195,19 +185,23 @@ def _record_from_jsonl_line(index: int, line: str) -> NewsRecord:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise MalformedRow(index, f"invalid JSON: {exc.msg}") from None
+        raise ValueError(f"row {index}: invalid JSON: {exc.msg}") from None
     if not isinstance(obj, dict):
-        raise MalformedRow(index, "line is not a JSON object")
+        raise ValueError(f"row {index}: line is not a JSON object")
     for key in ("Title", "Description", "Class_Label"):
         if key not in obj:
-            raise MalformedRow(index, f"missing key {key}")
+            raise ValueError(f"row {index}: missing key {key}")
         if not isinstance(obj[key], str):
-            raise MalformedRow(index, f"key {key} must be a string")
+            raise ValueError(f"row {index}: key {key} must be a string")
     if not obj["Title"].strip():
-        raise MalformedRow(index, "empty title")
+        raise ValueError(f"row {index}: empty title")
     if not obj["Description"].strip():
-        raise MalformedRow(index, "empty description")
-    return NewsRecord(obj["Title"], obj["Description"], normalize_label(obj["Class_Label"]))
+        raise ValueError(f"row {index}: empty description")
+    try:
+        label = normalize_label(obj["Class_Label"])
+    except ValueError as exc:
+        raise ValueError(f"row {index}: {exc}") from None
+    return NewsRecord(obj["Title"], obj["Description"], label)
 
 
 def save_jsonl(corpus: Corpus, path: str | Path) -> Path:
@@ -236,14 +230,14 @@ def sample_split(corpus: Corpus, n_train: int, n_test: int, seed: int) -> tuple[
 
     Each output holds exactly n/4 records per class, chosen by a seeded
     per-class permutation; selected records keep their ingestion order.
-    Raises NonDivisibleSize when 4 does not divide a size, and
-    InsufficientRecords when a class cannot cover its share.
+    Raises ValueError when 4 does not divide a size or a class cannot
+    cover its share.
     """
     for name, n in (("n_train", n_train), ("n_test", n_test)):
         if n % 4 != 0:
-            raise NonDivisibleSize(f"{name}={n} is not divisible by 4")
+            raise ValueError(f"{name}={n} is not divisible by 4")
     if n_train <= 0 or n_test <= 0:
-        raise InsufficientRecords("split sizes must be positive")
+        raise ValueError("split sizes must be positive")
     per_train = n_train // 4
     need = per_train + n_test // 4
 
@@ -252,7 +246,7 @@ def sample_split(corpus: Corpus, n_train: int, n_test: int, seed: int) -> tuple[
     for k, label in enumerate(LABELS):
         pool = np.flatnonzero(corpus.label_ids == k)
         if len(pool) < need:
-            raise InsufficientRecords(
+            raise ValueError(
                 f"class {label.display}: need {need} records, have {len(pool)}"
             )
         chosen.append(pool[rng.permutation(len(pool))[:need]])

@@ -17,7 +17,6 @@ from enum import Enum
 import numpy as np
 
 from .corpus import LABELS, TOKENIZER_ID, ClassLabel, Corpus, count_tokens
-from .errors import EmptyCorpus, EpsilonOutOfRange, InvalidDelta, NonPositiveEpsilon
 
 
 class Mechanism(Enum):
@@ -35,11 +34,11 @@ class PrivacyParams:
 
     def __post_init__(self):
         if not (self.epsilon > 0):
-            raise NonPositiveEpsilon(f"epsilon must be > 0, got {self.epsilon}")
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if not (0 <= self.delta < 1):
-            raise InvalidDelta(f"delta must be in [0, 1), got {self.delta}")
+            raise ValueError(f"delta must be in [0, 1), got {self.delta}")
         if self.mechanism is Mechanism.GAUSSIAN and self.delta == 0:
-            raise InvalidDelta("the Gaussian mechanism requires delta > 0")
+            raise ValueError("the Gaussian mechanism requires delta > 0")
 
     def to_json_dict(self) -> dict:
         return {
@@ -78,19 +77,19 @@ def noise_scale(params: PrivacyParams, sensitivity: SensitivityBound) -> float:
     l2 * sqrt(2 ln(1.25/delta)) / epsilon.
 
     The Gaussian calibration is valid only for epsilon in (0, 1]; a larger
-    epsilon raises EpsilonOutOfRange rather than silently extrapolating the
+    epsilon raises ValueError rather than silently extrapolating the
     bound. So does any epsilon whose scale is not positive and finite.
     """
     if params.mechanism is Mechanism.LAPLACE:
         scale = sensitivity.l1 / params.epsilon
     elif params.epsilon > 1:
-        raise EpsilonOutOfRange(
+        raise ValueError(
             f"analytic Gaussian calibration is valid for epsilon <= 1, got {params.epsilon}"
         )
     else:
         scale = sensitivity.l2 * math.sqrt(2.0 * math.log(1.25 / params.delta)) / params.epsilon
     if not (0 < scale < math.inf):
-        raise EpsilonOutOfRange(
+        raise ValueError(
             f"epsilon {params.epsilon} gives noise scale {scale}, not positive and finite"
         )
     return scale
@@ -198,10 +197,10 @@ def build_histogram(corpus: Corpus, vocab_limit: int = 500) -> TokenHistogram:
 
     Ranking is by count descending, then token ascending, so the retained
     vocabulary is deterministic. Counts are exact occurrence counts; no
-    clipping happens here. Raises EmptyCorpus when there are no records.
+    clipping happens here. Raises ValueError when there are no records.
     """
     if not corpus.records:
-        raise EmptyCorpus("cannot build a histogram from an empty corpus")
+        raise ValueError("cannot build a histogram from an empty corpus")
     if vocab_limit < 1:
         raise ValueError("vocab_limit must be >= 1")
     # Counted like ``token_counts`` but not kept: nothing else reads a raw

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..corpus import Corpus, NewsRecord
-from ..errors import EmptyCorpus
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,7 @@ class TfIdfModel:
 def fit_tfidf(train: Corpus) -> TfIdfModel:
     """Learn vocabulary and idf weights from a training corpus."""
     if not train.records:
-        raise EmptyCorpus("cannot fit TF-IDF on an empty corpus")
+        raise ValueError("cannot fit TF-IDF on an empty corpus")
     n_docs = len(train.records)
     counts = train.token_counts
     # One stored entry per (document, token): its column's entry count is df.

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..corpus import _LABEL_ALIASES, LABELS, ClassLabel, Corpus, NewsRecord, normalize_label
-from ..errors import EmptyCorpus, MissingClassDemo
 from ..rngutil import make_rng, subseed
 from ..synth.backends import BackendSpec
 from ..synth.prompts import build_classification_prompt
@@ -62,7 +61,7 @@ def select_icl_demos(config: IclConfig, demo_corpus: Corpus) -> list[NewsRecord]
         for label in LABELS:
             pool = demo_corpus.by_class(label)
             if not pool:
-                raise MissingClassDemo(f"class {label.display}: no demo records available")
+                raise ValueError(f"class {label.display}: no demo records available")
             demos.append(pool[int(rng.integers(0, len(pool)))])
         return demos
     # 2-shot: two distinct seed-chosen classes.
@@ -72,7 +71,7 @@ def select_icl_demos(config: IclConfig, demo_corpus: Corpus) -> list[NewsRecord]
         label = LABELS[int(ci)]
         pool = demo_corpus.by_class(label)
         if not pool:
-            raise MissingClassDemo(f"class {label.display}: no demo records available")
+            raise ValueError(f"class {label.display}: no demo records available")
         demos.append(pool[int(rng.integers(0, len(pool)))])
     return demos
 
@@ -93,7 +92,7 @@ def icl_evaluate(
 ) -> EvalReport:
     """Accuracy of backend label predictions over the test corpus."""
     if not test.records:
-        raise EmptyCorpus("cannot evaluate on an empty corpus")
+        raise ValueError("cannot evaluate on an empty corpus")
     demos = select_icl_demos(config, demo_corpus)
 
     def ask(query: NewsRecord) -> int:

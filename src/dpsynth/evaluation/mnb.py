@@ -15,14 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..corpus import Corpus
-from ..errors import EmptyCorpus
 from .features import TfIdfModel, transform_corpus
 from .linear import LinearModel, classes_and_y
 
 
 def train_mnb(train: Corpus, features: TfIdfModel, alpha: float = 1.0) -> LinearModel:
     if not train.records:
-        raise EmptyCorpus("cannot train MNB on an empty corpus")
+        raise ValueError("cannot train MNB on an empty corpus")
     if not (alpha > 0):
         raise ValueError("alpha must be positive")
     X = transform_corpus(features, train)

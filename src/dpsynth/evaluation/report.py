@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..corpus import LABELS, ClassLabel, Corpus
-from ..errors import EmptyCorpus
 # Not called here: perfbench/tracer.py counts single-record featurizations
 # through this name, and a run that makes none reads 0.
 from .features import transform  # noqa: F401
@@ -52,7 +51,7 @@ def evaluate(
     ratio correct / n.
     """
     if not test.records:
-        raise EmptyCorpus("cannot evaluate on an empty corpus")
+        raise ValueError("cannot evaluate on an empty corpus")
     predictions = np.asarray(predictions)
     if len(predictions) != len(test.records):
         raise ValueError(

@@ -13,7 +13,7 @@ step runs conjugate gradients on Hessian-vector products X~^T (A * X~ V),
 with A the active-set mask, so X~^T X~ is never formed; a backtracking line
 search then picks each column's step. A solve stops on a certificate: every
 column's gradient norm is at most GRAD_RTOL times its value at w = 0.
-Reaching MAX_NEWTON_STEPS first raises SolverDidNotConverge.
+Reaching MAX_NEWTON_STEPS first raises RuntimeError.
 
 The solve is deterministic; the seed only draws the validation split. Model
 selection tries the C grid on that held-out slice (ties prefer the smaller
@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..corpus import Corpus
-from ..errors import EmptyCorpus, SingleClassCorpus, SolverDidNotConverge
 from ..rngutil import make_rng, subseed
 from .features import TfIdfModel, transform_corpus
 from .linear import LinearModel, classes_and_y
@@ -112,7 +111,7 @@ def _fit_ovr(X: sparse.csr_matrix, y: np.ndarray, n_classes: int,
             t[short] *= 0.5
         W = W + t * D
         Z = Xb @ W
-    raise SolverDidNotConverge(
+    raise RuntimeError(
         f"Newton-CG stopped after {MAX_NEWTON_STEPS} steps at C={c_value} with relative "
         f"gradient norms {rel.tolist()} (tolerance {GRAD_RTOL})"
     )
@@ -150,10 +149,10 @@ def train_svm(
     winner is refit on the full training corpus.
     """
     if not train.records:
-        raise EmptyCorpus("cannot train an SVM on an empty corpus")
+        raise ValueError("cannot train an SVM on an empty corpus")
     classes, y = classes_and_y(train)
     if len(classes) < 2:
-        raise SingleClassCorpus("SVM training needs at least two classes")
+        raise ValueError("SVM training needs at least two classes")
     if not (0 < val_fraction < 1):
         raise ValueError("val_fraction must be in (0, 1)")
     c_grid = tuple(sorted(float(c) for c in c_grid))

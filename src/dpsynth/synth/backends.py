@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..errors import AuthMissing, BackendUnavailable
 from .mock import mock_classification_response, mock_generation_response, requested_count
 from .prompts import CLASSIFICATION_HEAD
 
@@ -229,7 +228,7 @@ class HttpClient(_Counted):
         if self.spec.auth_env_var:
             token = os.environ.get(self.spec.auth_env_var)
             if not token:
-                raise AuthMissing(
+                raise RuntimeError(
                     f"environment variable {self.spec.auth_env_var} is not set"
                 )
             headers["Authorization"] = f"Bearer {token}"
@@ -268,12 +267,12 @@ class HttpClient(_Counted):
                 last_reason = f"status {status}"
                 continue
             if not (200 <= status < 300):
-                raise BackendUnavailable(f"backend returned status {status}")
+                raise RuntimeError(f"backend returned status {status}")
             content = self._extract_content(text)
             if self.cache is not None:
                 self.cache.put(key, body, content)
             return content
-        raise BackendUnavailable(
+        raise RuntimeError(
             f"backend unavailable after {attempts} attempts ({last_reason})"
         )
 
@@ -283,9 +282,9 @@ class HttpClient(_Counted):
             obj = json.loads(text)
             content = obj["choices"][0]["message"]["content"]
         except (json.JSONDecodeError, KeyError, IndexError, TypeError):
-            raise BackendUnavailable("malformed completion response body") from None
+            raise RuntimeError("malformed completion response body") from None
         if not isinstance(content, str):
-            raise BackendUnavailable("completion content is not a string")
+            raise RuntimeError("completion content is not a string")
         return content
 
 

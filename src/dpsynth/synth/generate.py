@@ -7,7 +7,6 @@ import re
 from dataclasses import dataclass, replace
 
 from ..corpus import LABELS, ClassLabel, Corpus, NewsRecord, normalize_label
-from ..errors import AllRecordsMalformed, MissingClassDemo, QuotaUnreachable, UnknownLabel
 from ..rngutil import make_rng, subseed
 from .prompts import build_generation_prompt
 
@@ -41,6 +40,11 @@ class GenerationConfig:
 
 # ---------------------------------------------------------------- parsing
 
+class AllRecordsMalformed(ValueError):
+    """A backend response yielded zero parseable records; the generation
+    loop counts the call against its cap and moves on."""
+
+
 _FENCE_RE = re.compile(r"```(?:[A-Za-z0-9_-]+)?\s*\n(.*?)```", re.DOTALL)
 
 
@@ -69,7 +73,7 @@ def _record_from_item(item) -> NewsRecord | None:
         return None
     try:
         label = normalize_label(raw_label)
-    except UnknownLabel:
+    except ValueError:
         return None
     return NewsRecord(title.strip(), description.strip(), label)
 
@@ -123,7 +127,7 @@ def select_demos(original: Corpus, num_shots: int, seed: int) -> list[NewsRecord
     """Seed-deterministic demonstration picks from the original corpus.
 
     When num_shots is a multiple of 4 each class contributes equally
-    (MissingClassDemo if a class cannot); otherwise classes are cycled in
+    (ValueError if a class cannot); otherwise classes are cycled in
     enum order until the count is met.
     """
     if num_shots == 0:
@@ -136,7 +140,7 @@ def select_demos(original: Corpus, num_shots: int, seed: int) -> list[NewsRecord
         for label in LABELS:
             pool = pools[label]
             if len(pool) < per_class:
-                raise MissingClassDemo(
+                raise ValueError(
                     f"class {label.display}: need {per_class} demo records, have {len(pool)}"
                 )
             picks = rng.choice(len(pool), size=per_class, replace=False)
@@ -146,7 +150,7 @@ def select_demos(original: Corpus, num_shots: int, seed: int) -> list[NewsRecord
             label = LABELS[k % 4]
             pool = pools[label]
             if not pool:
-                raise MissingClassDemo(f"class {label.display}: no demo records available")
+                raise ValueError(f"class {label.display}: no demo records available")
             demos.append(pool[int(rng.integers(0, len(pool)))])
     return demos
 
@@ -161,7 +165,7 @@ def run_generation(original: Corpus, backend, config: GenerationConfig) -> Corpu
     class are discarded, and exact (title, description) duplicates,
     including the demonstrations themselves, are dropped. Each call uses a
     derived batch seed so a keyed mock backend produces fresh records.
-    Raises QuotaUnreachable once the call cap is hit.
+    Raises RuntimeError once the call cap is hit.
     """
     demos = select_demos(original, config.num_shots, config.seed)
     quota = config.total_records // 4
@@ -180,7 +184,7 @@ def run_generation(original: Corpus, backend, config: GenerationConfig) -> Corpu
                 for label in LABELS
                 if buckets[label] < quota
             }
-            raise QuotaUnreachable(
+            raise RuntimeError(
                 f"after {calls} calls still missing {missing} records per class"
             )
         n_request = min(config.batch_size, config.total_records - len(collected))

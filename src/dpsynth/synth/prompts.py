@@ -11,7 +11,6 @@ from __future__ import annotations
 from importlib import resources
 
 from ..corpus import LABELS, ClassLabel, NewsRecord
-from ..errors import MissingClassDemo
 
 DEMOS_SLOT = "###<DEMOS>###"
 NUMBER_SLOT = "###<NUMBER>###"
@@ -63,7 +62,7 @@ def build_generation_prompt(demos, n: int) -> str:
     """Instantiate the generation template with demos and a record count.
 
     When four or more demos are supplied they must cover all four classes
-    (MissingClassDemo otherwise); smaller demo sets are passed through as
+    (ValueError otherwise); smaller demo sets are passed through as
     given.
     """
     if n < 1:
@@ -73,7 +72,7 @@ def build_generation_prompt(demos, n: int) -> str:
         present = {d.label for d in demos}
         missing = [label.display for label in LABELS if label not in present]
         if missing:
-            raise MissingClassDemo(f"no demonstration for: {', '.join(missing)}")
+            raise ValueError(f"no demonstration for: {', '.join(missing)}")
     prompt = generation_template()
     prompt = prompt.replace(DEMOS_SLOT, render_demo_block(demos))
     return prompt.replace(NUMBER_SLOT, str(n))

@@ -34,7 +34,6 @@ import numpy as np
 
 from ..corpus import LABELS, Corpus, NewsRecord, tokenize
 from ..dp import TokenHistogram
-from ..errors import InsufficientRecords
 
 # A field whose tokens were all deleted is rendered as ".": non-empty text
 # that tokenizes to nothing, so record invariants hold and counts do not move.
@@ -89,7 +88,7 @@ def reconcile_corpus(
         if not copies:
             continue
         if not idx:
-            raise InsufficientRecords(
+            raise ValueError(
                 f"class {label.display} has no records to absorb insertions"
             )
         received: dict = {}

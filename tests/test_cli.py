@@ -3,6 +3,7 @@ backend, manifest contents, HTTP replay, and failure modes."""
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import hashlib
 import json
@@ -28,12 +29,12 @@ from dpsynth.cli import (
     cmd_generate,
     cmd_sweep,
     load_config,
+    StageError,
     main,
     stage,
 )
 from dpsynth.corpus import LABELS, Corpus
 from dpsynth.dp import Mechanism
-from dpsynth.errors import StageError
 
 
 def write_config(tmp_path: Path, name: str = "config.json", **extra) -> Path:
@@ -506,9 +507,29 @@ def test_leaf_modules_load_only_what_they_import():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert json.loads(out.stdout) == [
-        ["dpsynth", "dpsynth.corpus", "dpsynth.errors", "dpsynth.rngutil"],
+        ["dpsynth", "dpsynth.corpus", "dpsynth.rngutil"],
         ["dpsynth.dp"],
     ]
+
+
+def test_only_caught_exception_classes_are_defined():
+    # A class earns its place only where some code catches it by type; any
+    # other failure is a builtin exception with a message.
+    import dpsynth
+
+    root = Path(dpsynth.__file__).resolve().parent
+    classes = []
+    for path in root.rglob("*.py"):
+        module = ".".join(path.relative_to(root).with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
+                classes.append((f"{module}.{node.name}", node.name, bases))
+    errors = {"Exception", "ValueError", "RuntimeError"}
+    for _ in classes:  # close over subclasses of subclasses
+        errors |= {name for _, name, bases in classes if bases & errors}
+    assert {qualified for qualified, _, bases in classes if bases & errors} == {
+        "cli.StageError", "synth.generate.AllRecordsMalformed"}
 
 
 def test_every_source_directory_is_a_package():
@@ -888,6 +909,28 @@ class TestCmdAudit:
         err = capsys.readouterr().err
         assert "stage 'mia'" in err
         assert "member and non-member" in err
+
+
+@pytest.mark.parametrize("corruption", ["truncated", "epsilon-not-a-number"])
+@pytest.mark.parametrize("command, report", [("evaluate", "evaluation.json"),
+                                             ("audit", "audit.json")])
+def test_corrupt_generate_manifest_fails_in_the_load_stage(generated, capsys, corruption,
+                                                           command, report):
+    # Only a missing manifest means "provenance unknown"; one that cannot be
+    # read as a ledger must stop the run before any model is trained.
+    path, out = generated
+    manifest = out / "manifest_generate.json"
+    if corruption == "truncated":
+        manifest.write_text(manifest.read_text(encoding="utf-8")[:60], encoding="utf-8")
+    else:
+        data = read_json(manifest)
+        data["budget_ledger"]["entries"][0]["epsilon"] = "abc"
+        manifest.write_text(json.dumps(data), encoding="utf-8")
+    argv = [command, "--config", str(path), "--synthetic", str(out / "synthetic.jsonl")]
+    assert main(argv + (["--models", "mnb"] if command == "evaluate" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'load-synthetic': ") and err.count("\n") == 1
+    assert not (out / report).exists()
 
 
 # ---------------------------------------------------------------- http replay

@@ -12,12 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpsynth.corpus import _LABEL_ALIASES, LABELS, ClassLabel, Corpus, tokenize
-from dpsynth.errors import (
-    EmptyCorpus,
-    MissingClassDemo,
-    SingleClassCorpus,
-    SolverDidNotConverge,
-)
 from dpsynth.evaluation import svm as svm_module
 from dpsynth.evaluation.features import fit_tfidf, transform, transform_corpus
 from dpsynth.evaluation.icl import IclConfig, icl_evaluate, parse_label_response, select_icl_demos
@@ -107,7 +101,7 @@ class TestTfIdf:
             assert np.array_equal(X[i], transform(model, record).toarray()[0])
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(ValueError, match="^cannot fit TF-IDF on an empty corpus$"):
             fit_tfidf(corp())
 
 
@@ -205,7 +199,7 @@ class TestMnb:
         corpus = corp(rec("aa", "bb", W))
         with pytest.raises(ValueError):
             train_mnb(corpus, fit_tfidf(corpus), alpha=0.0)
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(ValueError, match="^cannot train MNB on an empty corpus$"):
             train_mnb(corp(), fit_tfidf(corpus))
 
     @pytest.mark.parametrize("case", range(40))
@@ -306,7 +300,7 @@ class TestSvm:
     def test_step_cap_raises(self, monkeypatch):
         corpus = separable_corpus(4)
         monkeypatch.setattr(svm_module, "MAX_NEWTON_STEPS", 1)
-        with pytest.raises(SolverDidNotConverge):
+        with pytest.raises(RuntimeError, match="^Newton-CG stopped after 1 steps at C=1.0 "):
             train_svm(corpus, fit_tfidf(corpus), c_grid=(1.0,))
 
     @pytest.fixture()
@@ -336,10 +330,10 @@ class TestSvm:
     def test_input_validation(self):
         corpus = separable_corpus(4)
         features = fit_tfidf(corpus)
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(ValueError, match="^cannot train an SVM on an empty corpus$"):
             train_svm(corp(), features)
         single = corp(rec("aa", "bb", W), rec("cc", "dd", W))
-        with pytest.raises(SingleClassCorpus):
+        with pytest.raises(ValueError, match="^SVM training needs at least two classes$"):
             train_svm(single, fit_tfidf(single))
         with pytest.raises(ValueError):
             train_svm(corpus, features, val_fraction=0.0)
@@ -407,7 +401,7 @@ class TestIclDemoSelection:
     def test_missing_class_raises(self):
         full = mock_original_corpus(2, 0)
         partial = Corpus(tuple(r for r in full.records if r.label is not T))
-        with pytest.raises(MissingClassDemo):
+        with pytest.raises(ValueError, match="^class Sci/Tech: no demo records available$"):
             select_icl_demos(IclConfig(shots=4), partial)
 
 
@@ -464,7 +458,7 @@ class TestIclEvaluate:
         assert report.train_source == "Original"
 
     def test_empty_test_corpus_rejected(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(ValueError, match="^cannot evaluate on an empty corpus$"):
             icl_evaluate(IclConfig(shots=0), corp(), corp(), client=ScriptedClient(["x"]))
 
     def test_threaded_and_serial_agree(self):
@@ -559,7 +553,7 @@ class TestReports:
         assert report.accuracy == 0.0
 
     def test_empty_test_rejected(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(ValueError, match="^cannot evaluate on an empty corpus$"):
             evaluate([], corp())
 
     def test_prediction_count_must_match_test(self):
