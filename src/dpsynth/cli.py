@@ -15,7 +15,7 @@ fingerprint, the privacy budget spent, backend call counters, and the paths
 of every artifact it produced.
 
 The experiment seed is the single source of randomness: stage seeds are
-derived from it by labeled hashing, so a config file must not set gen.seed.
+derived from it by labeled hashing.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -168,32 +168,31 @@ def _json_fields(items: list) -> dict:
     return {k: list(v) if isinstance(v, tuple) else v for k, v in items}
 
 
+_SECTIONS = {"backend": BackendSpec, "gen": GenerationConfig}
+
+
 def _merge_config_values(file_values: dict, overrides: dict) -> ExperimentConfig:
-    for key in ("backend", "gen"):
+    for key in _SECTIONS:
         if not isinstance(file_values.get(key, {}), dict):
             raise ValueError(f"config key {key!r} must be a JSON object")
     merged = dict(file_values)
     for key, value in overrides.items():
-        if key in ("backend", "gen") and isinstance(value, dict):
+        if key in _SECTIONS and isinstance(value, dict):
             nested = dict(merged.get(key, {}))
             nested.update(value)
             merged[key] = nested
         else:
             merged[key] = value
 
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = sorted(set(merged) - known)
+    unknown = set(merged) - {f.name for f in dataclasses.fields(ExperimentConfig)}
+    sections = {key: cls for key, cls in _SECTIONS.items() if isinstance(merged.get(key), dict)}
+    for key, cls in sections.items():
+        unknown |= {f"{key}.{name}" for name in
+                    set(merged[key]) - {f.name for f in dataclasses.fields(cls)}}
     if unknown:
-        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-
-    if "backend" in merged and isinstance(merged["backend"], dict):
-        merged["backend"] = BackendSpec(**merged["backend"])
-    if "gen" in merged and isinstance(merged["gen"], dict):
-        if "seed" in merged["gen"]:
-            raise ValueError(
-                "gen.seed is derived from the experiment seed; set top-level 'seed' instead"
-            )
-        merged["gen"] = GenerationConfig(**merged["gen"])
+        raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    for key, cls in sections.items():
+        merged[key] = cls(**merged[key])
     return ExperimentConfig(**merged)
 
 
@@ -368,8 +367,7 @@ def _synthesize(config: ExperimentConfig, train: Corpus, client, seed: int,
 
     The generation stream is ``subseed(seed, "generation", *labels)``."""
     with stage("generate-records"):
-        gen_config = replace(config.gen, seed=subseed(seed, "generation", *labels))
-        raw = run_generation(train, client, gen_config)
+        raw = run_generation(train, client, config.gen, subseed(seed, "generation", *labels))
     with stage("histogram"):
         return raw, build_histogram(raw, config.vocab_limit)
 

@@ -1,17 +1,13 @@
 """Text-generation backends: a deterministic mock and a chat-completions HTTP client.
 
 Both expose ``complete(prompt, *, temperature, top_p, max_tokens, seed)``.
-The HTTP client sends OpenAI-style chat completion requests, retries
-transient failures with exponential backoff, and caches response bodies on
-disk keyed by hash(prompt, model, temperature, top_p, max_tokens). It posts
-with the standard library's ``urllib.request``, imported on the first
-request. A key stores every response observed for that request in arrival
-order, and each client replays them one per call before going back to the
-network: repeats of one prompt inside a run stay fresh samples, while a
-rerun against a warm cache makes zero HTTP calls and reproduces the run
-byte for byte. The mock never touches the network; its ``seed`` argument is
-what makes repeated calls with the same prompt reproducible. The HTTP
-request schema has no seed field, so that client ignores the argument.
+The mock answers offline, as a function of the prompt and the seed. The
+HTTP client sends every argument, the seed included, as an OpenAI-style
+chat completion request, retries transient failures with exponential
+backoff, and caches each response on disk under the hash of the request
+body as sent. So a rerun against a warm cache makes zero HTTP calls and
+reproduces the run byte for byte, in whatever order it asks. It posts with
+the standard library's ``urllib.request``, imported on the first request.
 """
 from __future__ import annotations
 
@@ -54,98 +50,46 @@ class BackendSpec:
 
 
 class ResponseCache:
-    """Content-addressed response store: one file per request key.
+    """Content-addressed response store: one file per request, one response each.
 
-    A key's file holds the full sequence of response bodies observed for
-    that request. Its first line is the JSON object
-    ``{"request": ..., "responses": [...]}``; each later response is
-    appended as one more line holding a JSON string, so a put costs one
-    response's bytes rather than the whole file's. An instance reads a
-    key's file at most once, on the key's first ``get`` or ``put``, and
-    keeps its responses in memory from then on.
-
-    Every cache instance keeps a per-key cursor and hands out each stored
-    response at most once, in order, so a run that issues the same request
-    N times replays all N recorded responses instead of collapsing them
-    into one; ``put`` advances the cursor past the entry it adds because
-    the caller has already consumed that response. Every put is one
-    ``O_APPEND`` write of a newline and one line, so two commands that
-    write one new key at once each append their own first line and a
-    reader merges both. A writer that dies mid-append leaves a fragment on
-    a line of its own; loading skips any line that is not whole JSON, and
-    later appends land after the fragment. Reads and writes are serialized
-    by a lock.
+    ``<key>.json`` holds ``{"request": ..., "response": ...}``, where the key
+    is ``key_for(request)``. A put writes a temp file of its own and renames
+    it over the key's file, so a reader sees a whole entry or none, and of
+    two writers of one key the last rename wins. ``get`` reads the file on
+    every call; a file that is not a whole entry is a miss, and the next put
+    replaces it.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._responses: dict[str, list[str]] = {}
-        self._consumed: dict[str, int] = {}
 
     @staticmethod
-    def key_for(prompt: str, model: str, temperature: float, top_p: float, max_tokens: int) -> str:
-        material = json.dumps(
-            {
-                "prompt": prompt,
-                "model": model,
-                "temperature": temperature,
-                "top_p": top_p,
-                "max_tokens": max_tokens,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    def key_for(request_body: dict) -> str:
+        """sha256 of the request body's canonical JSON."""
+        canon = json.dumps(request_body, sort_keys=True, separators=(",", ":"),
+                           ensure_ascii=False)
+        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def _load(self, key: str) -> list[str]:
-        """This key's responses, read from its file on first use only."""
-        if key not in self._responses:
-            self._responses[key] = self._read(key)
-        return self._responses[key]
-
-    def _read(self, key: str) -> list[str]:
-        try:
-            lines = self._path(key).read_bytes().split(b"\n")
-        except FileNotFoundError:
-            return []
-        responses = []
-        for line in lines:
-            try:
-                item = json.loads(line)
-            except ValueError:  # a torn fragment, left by a writer that died mid-append
-                continue
-            responses += item["responses"] if isinstance(item, dict) else [item]
-        return responses
-
     def get(self, key: str) -> str | None:
-        """Next unreplayed response for this key, or None when exhausted."""
-        with self._lock:
-            responses = self._load(key)
-            cursor = self._consumed.get(key, 0)
-            if cursor >= len(responses):
-                return None
-            self._consumed[key] = cursor + 1
-            return responses[cursor]
+        """The stored response for this key, or None."""
+        try:
+            return json.loads(self._path(key).read_bytes())["response"]
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
+            return None
 
     def put(self, key: str, request_body: dict, response_text: str) -> None:
-        with self._lock:
-            responses = self._load(key)
-            # A key this instance holds nothing for gets a line that carries its request.
-            item = (response_text if responses
-                    else {"request": request_body, "responses": [response_text]})
-            line = "\n" + json.dumps(item, ensure_ascii=False)
-            fd = os.open(self._path(key), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
-            try:
-                os.write(fd, line.encode("utf-8"))
-            finally:
-                os.close(fd)
-            responses.append(response_text)
-            self._consumed[key] = len(responses)
+        tmp = self.directory / f"{key}.{os.getpid()}-{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump({"request": request_body, "response": response_text}, fh,
+                          ensure_ascii=False)
+            os.replace(tmp, self._path(key))
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 class _Counted:
@@ -236,21 +180,21 @@ class HttpClient(_Counted):
 
     def complete(self, prompt: str, *, temperature: float, top_p: float,
                  max_tokens: int, seed: int) -> str:
-        del seed  # not part of the request schema or the cache key
-        key = ResponseCache.key_for(prompt, self.spec.model_name, temperature, top_p, max_tokens)
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                self._count("cache_hits")
-                return hit
-
         body = {
             "model": self.spec.model_name,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": temperature,
             "top_p": top_p,
             "max_tokens": max_tokens,
+            "seed": seed % 2**31,  # subseeds are 64-bit; request parsers take int32
         }
+        key = ResponseCache.key_for(body)
+        if self.cache is not None:
+            hit = self.cache.get(key)
+            if hit is not None:
+                self._count("cache_hits")
+                return hit
+
         headers = self._headers()
         attempts = self.spec.retry_limit + 1
         last_reason = "no attempts made"

@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..corpus import LABELS, ClassLabel, Corpus, NewsRecord, normalize_label
 from ..rngutil import make_rng, subseed
@@ -21,7 +21,6 @@ class GenerationConfig:
     num_shots: int = 4
     batch_size: int = 16
     total_records: int = 400
-    seed: int = 0
     # 0 means automatic: 8 + 6 * ceil(total/batch) calls before giving up.
     max_calls: int = 0
 
@@ -109,14 +108,14 @@ def parse_synth_records(raw: str) -> tuple[list[NewsRecord], int]:
     return records, dropped
 
 
-def generate_batch(backend, prompt: str, config: GenerationConfig) -> Corpus:
+def generate_batch(backend, prompt: str, config: GenerationConfig, seed: int) -> Corpus:
     """Request one batch from a client exposing ``complete`` and parse it."""
     raw = backend.complete(
         prompt,
         temperature=config.temperature,
         top_p=config.top_p,
         max_tokens=config.max_tokens,
-        seed=config.seed,
+        seed=seed,
     )
     return Corpus(tuple(parse_synth_records(raw)[0]))
 
@@ -157,17 +156,18 @@ def select_demos(original: Corpus, num_shots: int, seed: int) -> list[NewsRecord
 
 # ---------------------------------------------------------------- generation loop
 
-def run_generation(original: Corpus, backend, config: GenerationConfig) -> Corpus:
+def run_generation(original: Corpus, backend, config: GenerationConfig, seed: int) -> Corpus:
     """Generate a class-balanced synthetic corpus.
 
     Demonstrations are selected once per run. Batches are requested until
     every class holds total_records/4 records; surplus records of a full
     class are discarded, and exact (title, description) duplicates,
-    including the demonstrations themselves, are dropped. Each call uses a
-    derived batch seed so a keyed mock backend produces fresh records.
+    including the demonstrations themselves, are dropped. ``seed`` picks the
+    demonstrations, and each call sends its own seed derived from it, so a
+    backend answers every call afresh.
     Raises RuntimeError once the call cap is hit.
     """
-    demos = select_demos(original, config.num_shots, config.seed)
+    demos = select_demos(original, config.num_shots, seed)
     quota = config.total_records // 4
     buckets: dict[ClassLabel, int] = {label: 0 for label in LABELS}
     seen: set[tuple[str, str]] = {(d.title, d.description) for d in demos}
@@ -189,10 +189,10 @@ def run_generation(original: Corpus, backend, config: GenerationConfig) -> Corpu
             )
         n_request = min(config.batch_size, config.total_records - len(collected))
         prompt = build_generation_prompt(demos, n_request)
-        batch_config = replace(config, seed=subseed(config.seed, "batch", calls))
+        batch_seed = subseed(seed, "batch", calls)
         calls += 1
         try:
-            batch = generate_batch(backend, prompt, batch_config)
+            batch = generate_batch(backend, prompt, config, batch_seed)
         except AllRecordsMalformed:
             continue  # a wasted call; the cap still bounds the loop
         for rec in batch.records:

@@ -419,10 +419,9 @@ def test_audit_fixture_shows_leakage_reduction(announce):
     baseline = threshold_attack(m, n)
 
     pipeline_seed = 9
-    gen_config = GenerationConfig(
-        total_records=160, batch_size=16, seed=subseed(pipeline_seed, "generation")
-    )
-    synthetic_raw = run_generation(members, make_backend(BackendSpec()), gen_config)
+    gen_config = GenerationConfig(total_records=160, batch_size=16)
+    synthetic_raw = run_generation(members, make_backend(BackendSpec()), gen_config,
+                                   subseed(pipeline_seed, "generation"))
     hist = build_histogram(synthetic_raw, vocab_limit=60)
     noisy = perturb_histogram(
         hist,

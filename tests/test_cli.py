@@ -79,7 +79,7 @@ class TestExperimentConfig:
         # Pinned: how the config is serialised must not move the identity of
         # an existing run.
         assert config.fingerprint() == (
-            "a501034d3db95094817bed50fa8fc971f718cf28e0c7d99a1f119816c2931a92")
+            "e6252197bad43a7075357c3499c6cc5dabd3dc6c7c068de5e51cd33900cdfb1a")
         # Every identity field, nested ones included, must move the
         # fingerprint; a new field fails here until it is given a value.
         http = {"kind": "http", "endpoint_url": "http://localhost:1/v1", "model_name": "m"}
@@ -89,7 +89,7 @@ class TestExperimentConfig:
             "vocab_limit": 400, "models": ("mnb",), "icl_shots": (0,), "seed": 43,
             "sweep_seeds": 2, "gen.temperature": 0.9, "gen.top_p": 0.9, "gen.max_tokens": 100,
             "gen.num_shots": 2, "gen.batch_size": 8, "gen.total_records": 44,
-            "gen.seed": 1, "gen.max_calls": 10, "backend.kind": http,
+            "gen.max_calls": 10, "backend.kind": http,
             "backend.endpoint_url": "http://localhost:1/v1", "backend.model_name": "m",
             "backend.auth_env_var": "KEY", "backend.max_concurrent": 2,
             "backend.retry_limit": 1,
@@ -194,8 +194,18 @@ class TestLoadConfig:
 
     def test_gen_seed_cannot_be_set_directly(self, tmp_path):
         path = write_config(tmp_path, gen={"total_records": 16, "seed": 9})
-        with pytest.raises(ValueError, match="derived from the experiment seed"):
+        with pytest.raises(ValueError, match=r"unknown config key\(s\): gen.seed"):
             load_config(str(path), {})
+
+    @pytest.mark.parametrize("section, key", [
+        ("gen", "seed"), ("gen", "temprature"), ("backend", "retries"),
+    ])
+    def test_unknown_nested_keys_fail_in_the_config_stage(self, tmp_path, capsys, section, key):
+        path = write_config(tmp_path, **{section: {key: 0.5}})
+        assert main(["generate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: stage 'config': unknown config key(s): {section}.{key}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_lists_become_tuples(self, tmp_path):
         path = write_config(tmp_path, epsilons=[0.5, 1], models=["mnb"])
@@ -225,13 +235,22 @@ class TestLoadConfig:
         assert f"{section!r} must be a JSON object" in err
 
 
+def _doc_section(name: str, heading: str | None = None) -> str:
+    """A repo document, or the part of it under one ``## `` heading."""
+    import dpsynth
+
+    text = (Path(dpsynth.__file__).resolve().parents[2] / name).read_text(encoding="utf-8")
+    return text.split(f"\n## {heading}", 1)[1].split("\n## ")[0] if heading else text
+
+
+def _json_blocks(text: str) -> list[str]:
+    return re.findall(r"```json\n(.*?)```", text, re.DOTALL)
+
+
 def test_formats_doc_lists_exactly_the_config_keys():
     # The key tables in docs/formats.md are the config file's schema: a key
     # added to, dropped from or renamed in ExperimentConfig must show there.
-    import dpsynth
-
-    doc = Path(dpsynth.__file__).resolve().parents[2] / "docs" / "formats.md"
-    section = doc.read_text(encoding="utf-8").split("## Config file", 1)[1].split("\n## ")[0]
+    section = _doc_section("docs/formats.md", "Config file")
     documented = {name for line in section.splitlines() if line.startswith("| `")
                   for name in re.findall(r"`([^`]+)`", line.split("|")[1])}
     config = ExperimentConfig()
@@ -242,7 +261,34 @@ def test_formats_doc_lists_exactly_the_config_keys():
             keys |= {f"{f.name}.{g.name}" for g in dataclasses.fields(nested)}
         else:
             keys.add(f.name)
-    assert documented == keys - {"gen.seed"}
+    assert documented == keys
+
+
+def test_documented_config_files_load(tmp_path):
+    # A config shown in the docs is one a reader will copy: it must load.
+    blocks = (_json_blocks(_doc_section("README.md", "Configuration"))
+              + _json_blocks(_doc_section("docs/http-backend.md")))
+    assert len(blocks) == 2
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(block, encoding="utf-8")
+        load_config(str(path), {})
+
+
+def test_formats_doc_shows_exactly_the_request_fields():
+    from dpsynth.synth.backends import BackendSpec, HttpClient
+
+    blocks = _json_blocks(_doc_section("docs/formats.md", "HTTP backend wire format"))
+    sent = []
+
+    def transport(url, headers, body):
+        sent.append(body)
+        return 200, json.dumps({"choices": [{"message": {"content": "x"}}]})
+
+    spec = BackendSpec(kind="http", endpoint_url="http://unit.test/v1", model_name="m")
+    HttpClient(spec, transport=transport).complete(
+        "p", temperature=0.7, top_p=1.0, max_tokens=200, seed=1)
+    assert set(json.loads(blocks[0])) == set(sent[0])
 
 
 # Every flag of every subcommand: the config key it sets and the value that
@@ -867,7 +913,7 @@ class TestGoldenOutputs:
                      "--models", "mnb,svm,icl", "--icl-shots", "0,2,4"]) == 0
         assert main(["audit", "--config", str(path), "--synthetic", synthetic]) == 0
         for artifact, digest in {
-            "evaluation.json": "6ce8dde2684a9e1a2217c5a8e9098e7babf8f024994d621418885b9c348ba52b",
+            "evaluation.json": "e7b3c5deb6896e40be3649991f04ac2cd6654747621b42e5cc7dd61557884a6e",
             "evaluation.md": "52980c9221cc0ef49da44d49dd5293a1a5e4ea2040d537a5d8de11cd95f2e2a0",
             "audit.json": "89e35216c03d7412984b0372a893d6c9a541cae0bac282ee8d5cdd769105d270",
         }.items():
@@ -937,8 +983,11 @@ def test_corrupt_generate_manifest_fails_in_the_load_stage(generated, capsys, co
 
 
 @contextmanager
-def local_chat_server():
-    """Chat-completions stub whose content changes on every call."""
+def local_chat_server(fail_after=None):
+    """Chat-completions stub whose content is a function of the request's seed.
+
+    With ``fail_after``, every request after that many answers gets a 400.
+    """
     counter = {"n": 0}
 
     class Handler(BaseHTTPRequestHandler):
@@ -946,17 +995,19 @@ def local_chat_server():
             body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
             m = re.search(r"Now generate (\d+) different", body["messages"][0]["content"])
             k = int(m.group(1)) if m else 8
-            n = counter["n"]
+            seed = body["seed"]
             counter["n"] += 1
             rows = [
-                {"Title": f"Srv{n} item{i}", "Description": f"payload {n} {i}.",
+                {"Title": f"Srv{seed} item{i}", "Description": f"payload {seed} {i}.",
                  "Class_Label": LABELS[i % 4].display}
                 for i in range(k)
             ]
-            payload = json.dumps(
+            status, payload = 200, json.dumps(
                 {"choices": [{"message": {"content": json.dumps(rows)}}]}
             ).encode()
-            self.send_response(200)
+            if fail_after is not None and counter["n"] > fail_after:
+                status, payload = 400, b'{"error": "bad request"}'
+            self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
@@ -1003,6 +1054,32 @@ class TestHttpGeneration:
             assert (tmp_path / "a" / "synthetic.jsonl").read_bytes() == \
                 (tmp_path / "b" / "synthetic.jsonl").read_bytes()
             assert "sends original-data text" in capsys.readouterr().err
+
+    def test_rerun_after_a_failed_run_pays_only_for_missing_calls(self, tmp_path, capsys):
+        # docs/http-backend.md, "Reruns and replay": a run that dies midway
+        # is recovered by rerunning it over the same cache directory.
+        def generate(url, name, cache):
+            path = write_config(
+                tmp_path, name=f"{name}.json", gen={"total_records": 16, "batch_size": 4},
+                backend={"kind": "http", "endpoint_url": url, "model_name": "local-stub"},
+                cache_dir=str(tmp_path / cache), output_dir=str(tmp_path / name))
+            return main(["generate", "--config", str(path)])
+
+        with local_chat_server() as (url, counter):
+            assert generate(url, "whole", "cache-whole") == 0
+        calls, good = counter["n"], 2
+        assert calls > good
+        with local_chat_server(fail_after=good) as (url, counter):
+            assert generate(url, "cut", "cache") == 1
+        assert counter["n"] == good + 1
+        assert "backend returned status 400" in capsys.readouterr().err
+        with local_chat_server() as (url, counter):
+            assert generate(url, "rerun", "cache") == 0
+        assert counter["n"] == calls - good
+        stats = read_json(tmp_path / "rerun" / "manifest_generate.json")["backend_stats"]
+        assert stats == {"mock_calls": 0, "http_requests": calls - good, "cache_hits": good}
+        assert (tmp_path / "rerun" / "synthetic.jsonl").read_bytes() == \
+            (tmp_path / "whole" / "synthetic.jsonl").read_bytes()
 
     def test_no_cache_flag_always_hits_the_network(self, tmp_path):
         with local_chat_server() as (url, counter):

@@ -2,6 +2,7 @@
 and count reconciliation."""
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import socket
@@ -363,37 +364,61 @@ class TestHttpBackend:
             "temperature": 0.3,
             "top_p": 1.0,
             "max_tokens": 99,
+            "seed": 123,
         }
-        assert "seed" not in body
 
-    def test_repeated_requests_stay_fresh_within_a_run(self, tmp_path):
-        # the same prompt twice in one run must reach the network twice:
-        # collapsing them onto one cached body would hand generation the
-        # same records again and stall the dedup loop
+    def test_seed_is_sent_below_2_pow_31(self, tmp_path):
+        # subseed gives 64-bit values; int32 request parsers reject those
+        client, transport, _ = http_client(tmp_path, [(200, chat_body("out"))])
+        ask(client, seed=2**64 - 1)
+        sent = transport.requests[0][2]["seed"]
+        assert 0 <= sent < 2**31
+        assert sent == (2**64 - 1) % 2**31
+
+    def test_different_seeds_each_reach_the_network(self, tmp_path):
+        # generation sends the same prompt with a new seed on every call;
+        # each must be a fresh sample, not the first call's cached body
         client, transport, _ = http_client(
             tmp_path, [(200, chat_body("first")), (200, chat_body("second"))]
         )
-        assert ask(client) == "first"
-        assert ask(client) == "second"
+        assert ask(client, seed=1) == "first"
+        assert ask(client, seed=2) == "second"
         assert len(transport.requests) == 2
         assert client.stats["cache_hits"] == 0
+
+    def test_repeated_call_makes_one_request_and_one_hit(self, tmp_path):
+        client, transport, _ = http_client(
+            tmp_path, [(200, chat_body("first")), (200, chat_body("second"))]
+        )
+        assert ask(client, seed=1) == "first"
+        assert ask(client, seed=1) == "first"
+        assert len(transport.requests) == 1
+        assert client.stats == {"mock_calls": 0, "http_requests": 1, "cache_hits": 1}
 
     def test_replay_run_makes_zero_http_calls(self, tmp_path):
         client, transport, _ = http_client(
             tmp_path, [(200, chat_body("first")), (200, chat_body("second"))]
         )
-        ask(client)
-        ask(client)
+        ask(client, seed=1)
+        ask(client, seed=2)
         # a new client over the same cache dir = a rerun of the same config
         fresh, transport2, _ = http_client(tmp_path, [(500, "boom")])
-        assert ask(fresh) == "first"
-        assert ask(fresh) == "second"
+        assert ask(fresh, seed=1) == "first"
+        assert ask(fresh, seed=2) == "second"
         assert transport2.requests == []
         assert fresh.stats["cache_hits"] == 2
-        # a different seed must not bust the cache; seed is not request material
-        third, transport3, _ = http_client(tmp_path, [(500, "boom")])
-        assert ask(third, seed=999) == "first"
-        assert transport3.requests == []
+
+    def test_warm_cache_answers_each_seed_in_any_order(self, tmp_path):
+        client, _, _ = http_client(
+            tmp_path, [(200, chat_body("for seed 1")), (200, chat_body("for seed 2"))]
+        )
+        ask(client, "p", seed=1)
+        ask(client, "p", seed=2)
+        fresh, transport, _ = http_client(tmp_path, [(500, "boom")])
+        assert ask(fresh, "p", seed=2) == "for seed 2"
+        assert ask(fresh, "p", seed=1) == "for seed 1"
+        assert transport.requests == []
+        assert fresh.stats["cache_hits"] == 2
 
     def test_cache_miss_on_changed_request(self, tmp_path):
         client, transport, _ = http_client(tmp_path, [(200, chat_body("a"))])
@@ -678,128 +703,89 @@ class TestDefaultTransport:
 
 
 class TestResponseCache:
-    def test_put_is_consumed_by_its_own_requester(self, tmp_path):
+    KEY = ResponseCache.key_for({"model": "m", "seed": 1})
+
+    def test_put_is_read_back_by_every_instance(self, tmp_path):
         cache = ResponseCache(tmp_path)
-        key = ResponseCache.key_for("p", "m", 0.7, 1.0, 100)
-        assert cache.get(key) is None
-        cache.put(key, {"model": "m"}, "the text")
-        # the writer already used this response; only a later run replays it
-        assert cache.get(key) is None
-        assert ResponseCache(tmp_path).get(key) == "the text"
+        assert cache.get(self.KEY) is None
+        cache.put(self.KEY, {"model": "m"}, "the text")
+        assert cache.get(self.KEY) == "the text"
+        assert cache.get(self.KEY) == "the text"
+        assert ResponseCache(tmp_path).get(self.KEY) == "the text"
+        entry = json.loads((tmp_path / f"{self.KEY}.json").read_text(encoding="utf-8"))
+        assert entry == {"request": {"model": "m"}, "response": "the text"}
 
-    def test_responses_replay_in_arrival_order(self, tmp_path):
-        writer = ResponseCache(tmp_path)
-        key = ResponseCache.key_for("p", "m", 0.7, 1.0, 100)
-        writer.put(key, {}, "r1")
-        writer.put(key, {}, "r2")
-        reader = ResponseCache(tmp_path)
-        assert [reader.get(key), reader.get(key), reader.get(key)] == ["r1", "r2", None]
-        # cursors are per instance: a second reader starts over
-        assert ResponseCache(tmp_path).get(key) == "r1"
+    def test_key_covers_every_request_field(self, tmp_path):
+        # every argument of a call, the seed included, is part of its key
+        base = {"prompt": "p", "temperature": 0.7, "top_p": 1.0, "max_tokens": 100, "seed": 1}
+        variants = [{"prompt": "q"}, {"temperature": 0.8}, {"top_p": 0.9},
+                    {"max_tokens": 101}, {"seed": 2}]
+        client, transport, _ = http_client(tmp_path, [(200, chat_body("x"))])
+        other_model, _, _ = http_client(
+            tmp_path, [(200, chat_body("x"))],
+            spec=BackendSpec(kind="http", endpoint_url="http://unit.test/v1/chat",
+                             model_name="m-other"))
+        for change in [{}] + variants:
+            ask(client, **{**base, **change})
+        ask(other_model, **base)
+        assert len(transport.requests) == 6
+        assert len(list((tmp_path / "cache").glob("*.json"))) == 7
 
-    def test_key_covers_every_request_field(self):
-        base = ("p", "m", 0.7, 1.0, 100)
-        variants = [("q", "m", 0.7, 1.0, 100), ("p", "n", 0.7, 1.0, 100),
-                    ("p", "m", 0.8, 1.0, 100), ("p", "m", 0.7, 0.9, 100),
-                    ("p", "m", 0.7, 1.0, 101)]
-        keys = {ResponseCache.key_for(*base)}
-        for v in variants:
-            keys.add(ResponseCache.key_for(*v))
-        assert len(keys) == 6
+    def test_key_is_the_request_body_as_sent(self):
+        body = {"model": "m", "messages": [{"role": "user", "content": "Zürich"}], "seed": 3}
+        canon = '{"messages":[{"content":"Zürich","role":"user"}],"model":"m","seed":3}'
+        assert ResponseCache.key_for(body) == hashlib.sha256(canon.encode("utf-8")).hexdigest()
+        assert ResponseCache.key_for(dict(reversed(body.items()))) == ResponseCache.key_for(body)
 
     def test_each_key_writes_one_file(self, tmp_path):
         cache = ResponseCache(tmp_path)
         for i in range(5):
-            cache.put(ResponseCache.key_for(f"p{i}", "m", 0.7, 1.0, 100), {}, "x")
+            cache.put(ResponseCache.key_for({"seed": i}), {}, "x")
         assert list(tmp_path.glob("*.tmp")) == []
         assert len(list(tmp_path.glob("*.json"))) == 5
 
-    KEY = ResponseCache.key_for("p", "m", 0.7, 1.0, 100)
+    def test_a_later_put_replaces_the_response(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        cache.put(self.KEY, {}, "r1")
+        cache.put(self.KEY, {}, "r2 · Zürich\nline two")
+        assert ResponseCache(tmp_path).get(self.KEY) == "r2 · Zürich\nline two"
 
-    def test_single_object_file_replays_and_accepts_appends(self, tmp_path):
-        # the one-object layout, without a trailing newline, that every
-        # cache file had before responses were appended line by line
+    @pytest.mark.parametrize("corrupt", [
+        b'{"request": {}, "response": "cut sho',
+        b"",
+        b'{"request": {}, "response": "caf\xc3',
+        b"\x00 not json",
+        b'{"request": {}}',
+        b'["a list"]',
+    ], ids=["cut-off", "empty", "cut-utf8", "binary", "no-response", "not-an-object"])
+    def test_corrupt_key_file_is_a_miss_and_next_put_is_whole(self, tmp_path, corrupt):
         path = tmp_path / f"{self.KEY}.json"
-        path.write_text(json.dumps({"request": {"model": "m"}, "responses": ["r1", "r2"]},
-                                   ensure_ascii=False), encoding="utf-8")
+        path.write_bytes(corrupt)
         cache = ResponseCache(tmp_path)
-        assert [cache.get(self.KEY), cache.get(self.KEY), cache.get(self.KEY)] == \
-            ["r1", "r2", None]
-        cache.put(self.KEY, {"model": "m"}, "r3 · Zürich\nline two")
-        reader = ResponseCache(tmp_path)
-        assert [reader.get(self.KEY) for _ in range(4)] == \
-            ["r1", "r2", "r3 · Zürich\nline two", None]
-
-    def test_appends_leave_the_first_line_as_written(self, tmp_path):
-        cache = ResponseCache(tmp_path)
-        for text in ("r1", "r2", "r3"):
-            cache.put(self.KEY, {"model": "m"}, text)
-        lines = (tmp_path / f"{self.KEY}.json").read_text(encoding="utf-8").split("\n")
-        # every put starts a new line, the first one included
-        assert lines[0] == ""
-        assert json.loads(lines[1]) == {"request": {"model": "m"}, "responses": ["r1"]}
-        assert [json.loads(line) for line in lines[2:]] == ["r2", "r3"]
-
-    @pytest.mark.parametrize("torn", ['\n"r3 cut sho', "\n", '\n"caf\xc3'])
-    def test_torn_last_line_is_dropped_and_next_put_is_whole(self, tmp_path, torn):
-        writer = ResponseCache(tmp_path)
-        writer.put(self.KEY, {}, "r1")
-        writer.put(self.KEY, {}, "r2")
-        path = tmp_path / f"{self.KEY}.json"
-        with path.open("ab") as f:  # what a writer killed mid-append leaves
-            f.write(torn.encode("latin-1"))
-        cache = ResponseCache(tmp_path)
-        assert [cache.get(self.KEY), cache.get(self.KEY), cache.get(self.KEY)] == \
-            ["r1", "r2", None]
-        cache.put(self.KEY, {}, "r3")
-        cache.put(self.KEY, {}, "r4")
-        reader = ResponseCache(tmp_path)
-        assert [reader.get(self.KEY) for _ in range(5)] == ["r1", "r2", "r3", "r4", None]
+        assert cache.get(self.KEY) is None
+        cache.put(self.KEY, {"model": "m"}, "r1")
+        assert json.loads(path.read_bytes()) == {"request": {"model": "m"}, "response": "r1"}
+        assert ResponseCache(tmp_path).get(self.KEY) == "r1"
         assert list(tmp_path.glob("*.tmp")) == []
-
-    def test_torn_line_before_later_appends_is_skipped(self, tmp_path):
-        # Two commands share the cache and both have loaded the key; one is
-        # killed mid-append, then the other appends after its fragment.
-        first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
-        first.put(self.KEY, {}, "r1")
-        assert second.get(self.KEY) == "r1"
-        with (tmp_path / f"{self.KEY}.json").open("ab") as f:
-            f.write(b'\n"r2 from the killed wri')
-        second.put(self.KEY, {}, "r3")
-        second.put(self.KEY, {}, "r4")
-        reader = ResponseCache(tmp_path)
-        assert [reader.get(self.KEY) for _ in range(4)] == ["r1", "r3", "r4", None]
 
     def test_file_deleted_mid_run_keeps_later_responses(self, tmp_path):
         cache = ResponseCache(tmp_path)
         cache.put(self.KEY, {}, "r1")
         (tmp_path / f"{self.KEY}.json").unlink()
-        cache.put(self.KEY, {}, "r2")  # appends to a file that has no first line
-        cache.put(self.KEY, {}, "r3")
-        reader = ResponseCache(tmp_path)
-        assert [reader.get(self.KEY) for _ in range(3)] == ["r2", "r3", None]
-
-    def test_key_file_is_read_once_per_instance(self, tmp_path):
-        writer = ResponseCache(tmp_path)
-        writer.put(self.KEY, {}, "r1")
-        writer.put(self.KEY, {}, "r2")
-        path = tmp_path / f"{self.KEY}.json"
-        cache = ResponseCache(tmp_path)
-        assert cache.get(self.KEY) == "r1"
-        # From here on the file is unreadable as a cache file: a get or put
-        # that read it again would fail or lose the responses.
-        path.write_bytes(b"\x00 not json")
-        assert cache.get(self.KEY) == "r2"
-        cache.put(self.KEY, {}, "r3")
         assert cache.get(self.KEY) is None
+        cache.put(self.KEY, {}, "r2")
+        assert ResponseCache(tmp_path).get(self.KEY) == "r2"
 
-    def test_concurrent_puts_are_all_kept(self, tmp_path):
+    def test_concurrent_puts_leave_only_whole_files(self, tmp_path):
+        # Eight threads each write keys of their own and one shared key.
         cache = ResponseCache(tmp_path)
-        threads_n, puts = 8, 50
+        threads_n, puts = 8, 25
+        shared = ResponseCache.key_for({"shared": True})
 
         def worker(t):
             for i in range(puts):
-                cache.put(self.KEY, {}, f"t{t}-{i}")
+                cache.put(ResponseCache.key_for({"t": t, "i": i}), {"t": t}, f"t{t}-{i}")
+                cache.put(shared, {"shared": True}, f"t{t}-{i}")
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -812,25 +798,15 @@ class TestResponseCache:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        reader = ResponseCache(tmp_path)
-        replayed = [reader.get(self.KEY) for _ in range(threads_n * puts + 1)]
-        assert replayed[-1] is None
-        assert sorted(replayed[:-1]) == sorted(
-            f"t{t}-{i}" for t in range(threads_n) for i in range(puts))
-        for t in range(threads_n):  # each thread's puts keep their order
-            mine = [r for r in replayed[:-1] if r.startswith(f"t{t}-")]
-            assert mine == [f"t{t}-{i}" for i in range(puts)]
-
-    def test_two_first_writers_of_one_key_both_replay(self, tmp_path):
-        # Two commands ask for a new key at once: both miss, both pay for the
-        # request, and each writes the key's first line.
-        first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
-        assert first.get(self.KEY) is None and second.get(self.KEY) is None
-        first.put(self.KEY, {"model": "m"}, "from first")
-        second.put(self.KEY, {"model": "m"}, "from second")
-        reader = ResponseCache(tmp_path)
-        assert [reader.get(self.KEY) for _ in range(3)] == ["from first", "from second", None]
         assert list(tmp_path.glob("*.tmp")) == []
+        files = list(tmp_path.glob("*.json"))
+        assert len(files) == threads_n * puts + 1
+        for path in files:  # every file is one whole entry
+            assert set(json.loads(path.read_bytes())) == {"request", "response"}
+        reader = ResponseCache(tmp_path)
+        assert all(reader.get(ResponseCache.key_for({"t": t, "i": i})) == f"t{t}-{i}"
+                   for t in range(threads_n) for i in range(puts))
+        assert reader.get(shared) in {f"t{t}-{puts - 1}" for t in range(threads_n)}
 
 
 # ---------------------------------------------------------------- demo selection and the loop
@@ -871,10 +847,10 @@ class TestGenerateBatch:
     def test_forwards_sampling_params_and_parses(self):
         raw = synth_json([("T1", "D one.", "World"), ("T2", "D two.", "Sports")])
         client = ScriptedClient([raw])
-        config = GenerationConfig(temperature=0.4, top_p=0.95, max_tokens=150, seed=77,
+        config = GenerationConfig(temperature=0.4, top_p=0.95, max_tokens=150,
                                   batch_size=2, total_records=4)
         prompt = build_generation_prompt(GENERATION_DEMOS, 2)
-        batch = generate_batch(client, prompt, config)
+        batch = generate_batch(client, prompt, config, 77)
         assert len(batch.records) == 2
         call = client.calls[0]
         assert call["temperature"] == 0.4
@@ -887,7 +863,7 @@ class TestGenerateBatch:
             {"Title": "Ok", "Description": "D.", "Class_Label": "World"},
             {"Title": "Bad"},
         ])
-        batch = generate_batch(ScriptedClient([raw]), "p", GenerationConfig())
+        batch = generate_batch(ScriptedClient([raw]), "p", GenerationConfig(), 0)
         assert [r.title for r in batch.records] == ["Ok"]
         assert parse_synth_records(raw)[1] == 1
 
@@ -895,8 +871,8 @@ class TestGenerateBatch:
 class TestRunGeneration:
     def test_mock_backend_fills_quota_exactly(self):
         original = mock_original_corpus(3, seed=2)
-        config = GenerationConfig(total_records=24, batch_size=8, seed=5)
-        corpus = run_generation(original, MockClient(), config)
+        config = GenerationConfig(total_records=24, batch_size=8)
+        corpus = run_generation(original, MockClient(), config, 5)
         assert len(corpus.records) == 24
         assert Counter(r.label for r in corpus) == {label: 6 for label in LABELS}
         # no duplicates by content
@@ -904,19 +880,19 @@ class TestRunGeneration:
 
     def test_determinism(self):
         original = mock_original_corpus(3, seed=2)
-        config = GenerationConfig(total_records=16, batch_size=8, seed=5)
-        a = run_generation(original, MockClient(), config)
-        b = run_generation(original, MockClient(), config)
+        config = GenerationConfig(total_records=16, batch_size=8)
+        a = run_generation(original, MockClient(), config, 5)
+        b = run_generation(original, MockClient(), config, 5)
         assert a.records == b.records
-        c = run_generation(original, MockClient(), GenerationConfig(total_records=16, batch_size=8, seed=6))
+        c = run_generation(original, MockClient(), config, 6)
         assert c.records != a.records
 
     def test_duplicate_records_are_dropped(self):
         rows = [(f"T{i}", f"Story {i}.", label.display) for i, label in enumerate(LABELS)]
         client = ScriptedClient([synth_json(rows)])  # same four records every call
-        config = GenerationConfig(total_records=8, batch_size=8, seed=1, num_shots=0, max_calls=3)
+        config = GenerationConfig(total_records=8, batch_size=8, num_shots=0, max_calls=3)
         with pytest.raises(RuntimeError, match="^after 3 calls still missing "):
-            run_generation(mock_original_corpus(1, 0), client, config)
+            run_generation(mock_original_corpus(1, 0), client, config, 1)
         assert len(client.calls) == 3
 
     def test_demo_records_are_excluded(self):
@@ -925,8 +901,8 @@ class TestRunGeneration:
         demo_rows = [(d.title, d.description, PROMPT_LABEL[d.label]) for d in demos]
         fresh_rows = [(f"New {i}", f"Fresh body {i}.", LABELS[i % 4].display) for i in range(8)]
         client = ScriptedClient([synth_json(demo_rows), synth_json(fresh_rows)])
-        config = GenerationConfig(total_records=8, batch_size=8, seed=9, num_shots=4)
-        corpus = run_generation(original, client, config)
+        config = GenerationConfig(total_records=8, batch_size=8, num_shots=4)
+        corpus = run_generation(original, client, config, 9)
         demo_keys = {(d.title, d.description) for d in demos}
         assert all((r.title, r.description) not in demo_keys for r in corpus.records)
         assert len(client.calls) == 2
@@ -934,8 +910,8 @@ class TestRunGeneration:
     def test_malformed_batches_are_tolerated(self):
         rows = [(f"T{i}", f"Story {i}.", LABELS[i % 4].display) for i in range(8)]
         client = ScriptedClient(["no json at all", synth_json(rows)])
-        config = GenerationConfig(total_records=8, batch_size=8, seed=1, num_shots=0)
-        corpus = run_generation(mock_original_corpus(1, 0), client, config)
+        config = GenerationConfig(total_records=8, batch_size=8, num_shots=0)
+        corpus = run_generation(mock_original_corpus(1, 0), client, config, 1)
         assert len(corpus.records) == 8
         assert len(client.calls) == 2
 
@@ -943,16 +919,16 @@ class TestRunGeneration:
         # all-World batches can only ever fill one bucket
         rows = [(f"W{i}", f"World story {i}.", "World") for i in range(8)]
         client = ScriptedClient([synth_json(rows)])
-        config = GenerationConfig(total_records=8, batch_size=8, seed=1, num_shots=0, max_calls=2)
+        config = GenerationConfig(total_records=8, batch_size=8, num_shots=0, max_calls=2)
         with pytest.raises(RuntimeError, match="^after 2 calls still missing ") as err:
-            run_generation(mock_original_corpus(1, 0), client, config)
+            run_generation(mock_original_corpus(1, 0), client, config, 1)
         msg = str(err.value)
         assert "Sports" in msg and "World" not in msg.split("missing")[1].split(":")[0]
 
     def test_requests_shrink_to_the_remaining_quota(self):
         original = mock_original_corpus(2, seed=0)
-        config = GenerationConfig(total_records=12, batch_size=8, seed=3)
-        run = run_generation(original, MockClient(), config)
+        config = GenerationConfig(total_records=12, batch_size=8)
+        run = run_generation(original, MockClient(), config, 3)
         assert len(run.records) == 12
 
     def test_config_validation(self):
