@@ -25,6 +25,7 @@ import hashlib
 import json
 import sys
 import time
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -171,6 +172,23 @@ def _json_fields(items: list) -> dict:
 _SECTIONS = {"backend": BackendSpec, "gen": GenerationConfig}
 
 
+def _typed(cls, values: dict, prefix: str = "") -> dict:
+    """``values`` with each int, float, str or bool field of ``cls`` checked
+    against its declared type. A bool is not an int; an int given for a
+    float becomes one, so ``1`` and ``1.0`` are one config."""
+    values = dict(values)
+    for name, want in typing.get_type_hints(cls).items():
+        if name not in values or want not in (int, float, str, bool):
+            continue
+        value = values[name]
+        if want is float and type(value) is int:
+            values[name] = value = float(value)
+        if type(value) is not want:
+            raise ValueError(
+                f"config key {prefix}{name} must be {want.__name__}, got {value!r}")
+    return values
+
+
 def _merge_config_values(file_values: dict, overrides: dict) -> ExperimentConfig:
     for key in _SECTIONS:
         if not isinstance(file_values.get(key, {}), dict):
@@ -192,8 +210,8 @@ def _merge_config_values(file_values: dict, overrides: dict) -> ExperimentConfig
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     for key, cls in sections.items():
-        merged[key] = cls(**merged[key])
-    return ExperimentConfig(**merged)
+        merged[key] = cls(**_typed(cls, merged[key], f"{key}."))
+    return ExperimentConfig(**_typed(ExperimentConfig, merged))
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
@@ -318,16 +336,6 @@ def _external_data_note(config: ExperimentConfig) -> None:
         )
 
 
-def _calibration_warning(config: ExperimentConfig) -> None:
-    if config.gen.max_tokens > DEFAULT_SENSITIVITY.l1:
-        print(
-            f"warning: gen.max_tokens={config.gen.max_tokens} exceeds the assumed "
-            f"per-document contribution bound l1={DEFAULT_SENSITIVITY.l1}; "
-            "the privacy calibration no longer covers the longest documents",
-            file=sys.stderr,
-        )
-
-
 def _make_client(config: ExperimentConfig):
     return make_backend(
         config.backend,
@@ -401,7 +409,6 @@ def cmd_generate(config: ExperimentConfig) -> RunManifest:
     train, _test = _load_original(config)
 
     _external_data_note(config)
-    _calibration_warning(config)
 
     with stage("generate-records"):
         client = _make_client(config)
@@ -579,7 +586,6 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
 
     train, test = _load_original(config)
     _external_data_note(config)
-    _calibration_warning(config)
 
     with stage("generate-records"):
         client = _make_client(config)

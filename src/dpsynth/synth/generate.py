@@ -11,30 +11,28 @@ from ..rngutil import make_rng, subseed
 from .prompts import build_generation_prompt
 
 
+# Token cap per requested record. A mock record is about 50 tokens of JSON,
+# so a batch's cap leaves about four times the room its answer needs.
+TOKENS_PER_RECORD = 200
+
+
 @dataclass(frozen=True)
 class GenerationConfig:
     """Sampling and loop parameters for one generation run."""
 
     temperature: float = 0.7
     top_p: float = 1.0
-    max_tokens: int = 200
     num_shots: int = 4
     batch_size: int = 16
     total_records: int = 400
-    # 0 means automatic: 8 + 6 * ceil(total/batch) calls before giving up.
-    max_calls: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.total_records < 4 or self.total_records % 4 != 0:
             raise ValueError("total_records must be a positive multiple of 4")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
         if self.num_shots < 0:
             raise ValueError("num_shots must be >= 0")
-        if self.max_calls < 0:
-            raise ValueError("max_calls must be >= 0")
 
 
 # ---------------------------------------------------------------- parsing
@@ -114,7 +112,7 @@ def generate_batch(backend, prompt: str, config: GenerationConfig, seed: int) ->
         prompt,
         temperature=config.temperature,
         top_p=config.top_p,
-        max_tokens=config.max_tokens,
+        max_tokens=config.batch_size * TOKENS_PER_RECORD,
         seed=seed,
     )
     return Corpus(tuple(parse_synth_records(raw)[0]))
@@ -159,40 +157,25 @@ def select_demos(original: Corpus, num_shots: int, seed: int) -> list[NewsRecord
 def run_generation(original: Corpus, backend, config: GenerationConfig, seed: int) -> Corpus:
     """Generate a class-balanced synthetic corpus.
 
-    Demonstrations are selected once per run. Batches are requested until
-    every class holds total_records/4 records; surplus records of a full
-    class are discarded, and exact (title, description) duplicates,
-    including the demonstrations themselves, are dropped. ``seed`` picks the
-    demonstrations, and each call sends its own seed derived from it, so a
-    backend answers every call afresh.
-    Raises RuntimeError once the call cap is hit.
+    Demonstrations are selected once per run, and so is the prompt: every
+    call asks for batch_size records and sends its own seed derived from
+    ``seed``, so a backend answers every call afresh. Batches are requested
+    until every class holds total_records/4 records; surplus records of a
+    full class are discarded, and exact (title, description) duplicates,
+    including the demonstrations themselves, are dropped.
+    Raises RuntimeError after 8 + 6 * ceil(total_records/batch_size) calls.
     """
     demos = select_demos(original, config.num_shots, seed)
+    prompt = build_generation_prompt(demos, config.batch_size)
     quota = config.total_records // 4
     buckets: dict[ClassLabel, int] = {label: 0 for label in LABELS}
     seen: set[tuple[str, str]] = {(d.title, d.description) for d in demos}
     collected: list[NewsRecord] = []
 
-    max_calls = config.max_calls or (
-        8 + 6 * math.ceil(config.total_records / config.batch_size)
-    )
-    calls = 0
-    while len(collected) < config.total_records:
-        if calls >= max_calls:
-            missing = {
-                label.display: quota - buckets[label]
-                for label in LABELS
-                if buckets[label] < quota
-            }
-            raise RuntimeError(
-                f"after {calls} calls still missing {missing} records per class"
-            )
-        n_request = min(config.batch_size, config.total_records - len(collected))
-        prompt = build_generation_prompt(demos, n_request)
-        batch_seed = subseed(seed, "batch", calls)
-        calls += 1
+    max_calls = 8 + 6 * math.ceil(config.total_records / config.batch_size)
+    for call in range(max_calls):
         try:
-            batch = generate_batch(backend, prompt, config, batch_seed)
+            batch = generate_batch(backend, prompt, config, subseed(seed, "batch", call))
         except AllRecordsMalformed:
             continue  # a wasted call; the cap still bounds the loop
         for rec in batch.records:
@@ -202,4 +185,7 @@ def run_generation(original: Corpus, backend, config: GenerationConfig, seed: in
             seen.add(key)
             buckets[rec.label] += 1
             collected.append(rec)
-    return Corpus(tuple(collected))
+        if len(collected) == config.total_records:
+            return Corpus(tuple(collected))
+    missing = {label.display: quota - n for label, n in buckets.items() if n < quota}
+    raise RuntimeError(f"after {max_calls} calls still missing {missing} records per class")

@@ -79,7 +79,7 @@ class TestExperimentConfig:
         # Pinned: how the config is serialised must not move the identity of
         # an existing run.
         assert config.fingerprint() == (
-            "e6252197bad43a7075357c3499c6cc5dabd3dc6c7c068de5e51cd33900cdfb1a")
+            "97bb6d0f82658406d51605965a3a883d72749d8a0b587504ac91148f707bd6b5")
         # Every identity field, nested ones included, must move the
         # fingerprint; a new field fails here until it is given a value.
         http = {"kind": "http", "endpoint_url": "http://localhost:1/v1", "model_name": "m"}
@@ -87,9 +87,9 @@ class TestExperimentConfig:
             "dataset_path": "mock:8", "n_train": 400, "n_test": 100, "epsilon": 2.0,
             "epsilons": (1.0, 2.0), "mechanism": "gaussian", "delta": 1e-6,
             "vocab_limit": 400, "models": ("mnb",), "icl_shots": (0,), "seed": 43,
-            "sweep_seeds": 2, "gen.temperature": 0.9, "gen.top_p": 0.9, "gen.max_tokens": 100,
+            "sweep_seeds": 2, "gen.temperature": 0.9, "gen.top_p": 0.9,
             "gen.num_shots": 2, "gen.batch_size": 8, "gen.total_records": 44,
-            "gen.max_calls": 10, "backend.kind": http,
+            "backend.kind": http,
             "backend.endpoint_url": "http://localhost:1/v1", "backend.model_name": "m",
             "backend.auth_env_var": "KEY", "backend.max_concurrent": 2,
             "backend.retry_limit": 1,
@@ -199,6 +199,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("section, key", [
         ("gen", "seed"), ("gen", "temprature"), ("backend", "retries"),
+        ("gen", "max_tokens"), ("gen", "max_calls"),
     ])
     def test_unknown_nested_keys_fail_in_the_config_stage(self, tmp_path, capsys, section, key):
         path = write_config(tmp_path, **{section: {key: 0.5}})
@@ -206,6 +207,31 @@ class TestLoadConfig:
         err = capsys.readouterr().err
         assert err == f"error: stage 'config': unknown config key(s): {section}.{key}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"seed": "42"}, "seed must be int, got '42'"),
+        ({"seed": True}, "seed must be int, got True"),
+        ({"cache_enabled": "no"}, "cache_enabled must be bool, got 'no'"),
+        ({"epsilon": "1"}, "epsilon must be float, got '1'"),
+        ({"dataset_path": 32}, "dataset_path must be str, got 32"),
+        ({"gen": {"batch_size": 8.0}}, "gen.batch_size must be int, got 8.0"),
+        ({"gen": {"temperature": False}}, "gen.temperature must be float, got False"),
+        ({"backend": {"retry_limit": "3"}}, "backend.retry_limit must be int, got '3'"),
+    ])
+    def test_values_of_the_wrong_type_fail_in_the_config_stage(
+            self, tmp_path, capsys, extra, message):
+        path = write_config(tmp_path, **extra)
+        assert main(["generate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: stage 'config': config key {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_an_int_is_read_as_a_float(self, tmp_path):
+        as_int = load_config(str(write_config(tmp_path, epsilon=2, gen={"top_p": 1})), {})
+        assert type(as_int.epsilon) is float and type(as_int.gen.top_p) is float
+        as_float = load_config(str(write_config(tmp_path, epsilon=2.0,
+                                                gen={"top_p": 1.0})), {})
+        assert as_int.fingerprint() == as_float.fingerprint()
 
     def test_lists_become_tuples(self, tmp_path):
         path = write_config(tmp_path, epsilons=[0.5, 1], models=["mnb"])
@@ -640,12 +666,6 @@ class TestCmdGenerate:
         assert notes["epsilon_floored"] is True
         assert "surrogate floor" in capsys.readouterr().err
 
-    def test_long_generation_budget_warning(self, tmp_path, capsys):
-        path = write_config(tmp_path, gen={"total_records": 16, "batch_size": 8,
-                                           "max_tokens": 300})
-        assert main(["generate", "--config", str(path)]) == 0
-        assert "max_tokens=300 exceeds" in capsys.readouterr().err
-
     def test_missing_dataset_fails_in_the_load_stage(self, tmp_path, capsys):
         path = write_config(tmp_path, dataset_path="")
         assert main(["generate", "--config", str(path)]) == 1
@@ -780,13 +800,6 @@ class TestCmdSweep:
         assert "repeated" in err
         assert not (tmp_path / "out" / "sweep.json").exists()
 
-    def test_long_generation_budget_warning(self, tmp_path, capsys):
-        path = write_config(tmp_path, gen={"total_records": 16, "batch_size": 8,
-                                           "max_tokens": 300})
-        assert main(["sweep", "--config", str(path), "--epsilons", "0,1",
-                     "--models", "mnb"]) == 0
-        assert capsys.readouterr().err.count("max_tokens=300 exceeds") == 1
-
     def test_unusable_cache_dir_fails_in_a_stage(self, tmp_path, capsys):
         # A cache directory under a regular file cannot be created; the
         # error must be reported like any other stage failure, not escape.
@@ -913,7 +926,7 @@ class TestGoldenOutputs:
                      "--models", "mnb,svm,icl", "--icl-shots", "0,2,4"]) == 0
         assert main(["audit", "--config", str(path), "--synthetic", synthetic]) == 0
         for artifact, digest in {
-            "evaluation.json": "e7b3c5deb6896e40be3649991f04ac2cd6654747621b42e5cc7dd61557884a6e",
+            "evaluation.json": "4838bd69aa447c63e75a53828c90b562db01f8e728e476f8c3f1cf64328a5c31",
             "evaluation.md": "52980c9221cc0ef49da44d49dd5293a1a5e4ea2040d537a5d8de11cd95f2e2a0",
             "audit.json": "89e35216c03d7412984b0372a893d6c9a541cae0bac282ee8d5cdd769105d270",
         }.items():

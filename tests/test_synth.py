@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import shutil
 import socket
 import ssl
@@ -45,6 +46,7 @@ from dpsynth.synth.backends import (
     make_backend,
 )
 from dpsynth.synth.generate import (
+    TOKENS_PER_RECORD,
     AllRecordsMalformed,
     GenerationConfig,
     generate_batch,
@@ -847,15 +849,14 @@ class TestGenerateBatch:
     def test_forwards_sampling_params_and_parses(self):
         raw = synth_json([("T1", "D one.", "World"), ("T2", "D two.", "Sports")])
         client = ScriptedClient([raw])
-        config = GenerationConfig(temperature=0.4, top_p=0.95, max_tokens=150,
-                                  batch_size=2, total_records=4)
+        config = GenerationConfig(temperature=0.4, top_p=0.95, batch_size=2, total_records=4)
         prompt = build_generation_prompt(GENERATION_DEMOS, 2)
         batch = generate_batch(client, prompt, config, 77)
         assert len(batch.records) == 2
         call = client.calls[0]
         assert call["temperature"] == 0.4
         assert call["top_p"] == 0.95
-        assert call["max_tokens"] == 150
+        assert call["max_tokens"] == 2 * TOKENS_PER_RECORD == 400
         assert call["seed"] == 77
 
     def test_counts_malformed_items(self):
@@ -866,6 +867,45 @@ class TestGenerateBatch:
         batch = generate_batch(ScriptedClient([raw]), "p", GenerationConfig(), 0)
         assert [r.title for r in batch.records] == ["Ok"]
         assert parse_synth_records(raw)[1] == 1
+
+
+class RecordingMock(MockClient):
+    """The mock backend, recording each call's prompt and sampling values."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls: list[tuple[str, dict]] = []
+
+    def complete(self, prompt: str, **kwargs) -> str:
+        self.calls.append((prompt, kwargs))
+        return super().complete(prompt, **kwargs)
+
+
+class TruncatingMock(MockClient):
+    """The mock backend behind an endpoint that cuts each answer to its
+    first ``max_tokens`` words."""
+
+    def complete(self, prompt: str, **kwargs) -> str:
+        words = re.findall(r"\S+\s*", super().complete(prompt, **kwargs))
+        return "".join(words[:kwargs["max_tokens"]])
+
+
+class ClassOrderClient:
+    """Answers with the requested number of records, classes in the prompt's
+    order (World first); its first answer drops one Sci/Tech Description."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def complete(self, prompt: str, *, temperature: float, top_p: float,
+                 max_tokens: int, seed: int) -> str:
+        items = [{"Title": f"T{self.calls}-{i}", "Description": f"Story {self.calls}-{i}.",
+                  "Class_Label": PROMPT_LABEL[LABELS[i % 4]]}
+                 for i in range(requested_count(prompt, 0))]
+        if self.calls == 0:
+            del items[3]["Description"]
+        self.calls += 1
+        return json.dumps(items)
 
 
 class TestRunGeneration:
@@ -890,10 +930,11 @@ class TestRunGeneration:
     def test_duplicate_records_are_dropped(self):
         rows = [(f"T{i}", f"Story {i}.", label.display) for i, label in enumerate(LABELS)]
         client = ScriptedClient([synth_json(rows)])  # same four records every call
-        config = GenerationConfig(total_records=8, batch_size=8, num_shots=0, max_calls=3)
-        with pytest.raises(RuntimeError, match="^after 3 calls still missing "):
+        config = GenerationConfig(total_records=8, batch_size=8, num_shots=0)
+        # the automatic cap: 8 + 6 * ceil(8 / 8) calls
+        with pytest.raises(RuntimeError, match="^after 14 calls still missing "):
             run_generation(mock_original_corpus(1, 0), client, config, 1)
-        assert len(client.calls) == 3
+        assert len(client.calls) == 14
 
     def test_demo_records_are_excluded(self):
         original = mock_original_corpus(1, seed=4)  # pools of one record per class
@@ -919,17 +960,40 @@ class TestRunGeneration:
         # all-World batches can only ever fill one bucket
         rows = [(f"W{i}", f"World story {i}.", "World") for i in range(8)]
         client = ScriptedClient([synth_json(rows)])
-        config = GenerationConfig(total_records=8, batch_size=8, num_shots=0, max_calls=2)
-        with pytest.raises(RuntimeError, match="^after 2 calls still missing ") as err:
+        config = GenerationConfig(total_records=8, batch_size=8, num_shots=0)
+        with pytest.raises(RuntimeError, match="^after 14 calls still missing ") as err:
             run_generation(mock_original_corpus(1, 0), client, config, 1)
         msg = str(err.value)
         assert "Sports" in msg and "World" not in msg.split("missing")[1].split(":")[0]
 
-    def test_requests_shrink_to_the_remaining_quota(self):
-        original = mock_original_corpus(2, seed=0)
+    def test_every_call_asks_for_a_full_batch_with_one_prompt(self):
+        # 12 records in batches of 8: the second call is not cut to the 4
+        # still missing; the quota check drops its surplus.
+        client = RecordingMock()
         config = GenerationConfig(total_records=12, batch_size=8)
-        run = run_generation(original, MockClient(), config, 3)
+        run = run_generation(mock_original_corpus(2, seed=0), client, config, 3)
         assert len(run.records) == 12
+        assert len(client.calls) == 2
+        assert len({prompt for prompt, _ in client.calls}) == 1
+        assert requested_count(client.calls[0][0], 0) == 8
+        assert all(kw["max_tokens"] == 8 * TOKENS_PER_RECORD for _, kw in client.calls)
+        assert len({kw["seed"] for _, kw in client.calls}) == 2
+
+    def test_an_endpoint_that_honours_the_token_cap(self):
+        # The cap covers a whole batch, so cutting each answer to its first
+        # max_tokens words leaves every record whole.
+        config = GenerationConfig(total_records=64, batch_size=16)
+        run = run_generation(mock_original_corpus(4, seed=0), TruncatingMock(), config, 3)
+        assert Counter(r.label for r in run) == {label: 16 for label in LABELS}
+
+    def test_a_class_order_backend_fills_the_last_class(self):
+        # World-first answers to a short tail request would never hold the
+        # Sci/Tech record the first answer lost; a full batch does.
+        client = ClassOrderClient()
+        config = GenerationConfig(total_records=16, batch_size=16, num_shots=0)
+        run = run_generation(mock_original_corpus(1, seed=0), client, config, 3)
+        assert Counter(r.label for r in run) == {label: 4 for label in LABELS}
+        assert client.calls == 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -940,8 +1004,6 @@ class TestRunGeneration:
             GenerationConfig(batch_size=0)
         with pytest.raises(ValueError):
             GenerationConfig(num_shots=-1)
-        with pytest.raises(ValueError):
-            GenerationConfig(max_tokens=0)
 
 
 # ---------------------------------------------------------------- reconciliation
