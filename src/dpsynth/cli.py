@@ -46,7 +46,7 @@ from .dp import (
     perturb_histogram,
 )
 from .evaluation.features import fit_tfidf, transform_corpus
-from .evaluation.icl import VALID_SHOTS, IclConfig, icl_evaluate
+from .evaluation.icl import VALID_SHOTS, icl_evaluate
 from .evaluation.linear import predict
 from .evaluation.mnb import train_mnb
 from .evaluation.report import (
@@ -89,12 +89,12 @@ class ExperimentConfig:
     backend: BackendSpec = field(default_factory=BackendSpec)
     gen: GenerationConfig = field(default_factory=GenerationConfig)
     epsilon: float = 1.0
-    epsilons: tuple = (0.0, 0.5, 1.0, 10.0)
+    epsilons: tuple[float, ...] = (0.0, 0.5, 1.0, 10.0)
     mechanism: str = "laplace"
     delta: float = 1e-5
     vocab_limit: int = 500
-    models: tuple = ("mnb", "svm")
-    icl_shots: tuple = (0, 2, 4)
+    models: tuple[str, ...] = ("mnb", "svm")
+    icl_shots: tuple[int, ...] = (0, 2, 4)
     seed: int = 42
     output_dir: str = "runs"
     sweep_seeds: int = 1
@@ -172,20 +172,33 @@ def _json_fields(items: list) -> dict:
 _SECTIONS = {"backend": BackendSpec, "gen": GenerationConfig}
 
 
+def _fits(value, want: type) -> bool:
+    """Whether a config value has type ``want``. A bool is not an int, and
+    an int fits a float."""
+    return type(value) is want or (want is float and type(value) is int)
+
+
 def _typed(cls, values: dict, prefix: str = "") -> dict:
-    """``values`` with each int, float, str or bool field of ``cls`` checked
-    against its declared type. A bool is not an int; an int given for a
-    float becomes one, so ``1`` and ``1.0`` are one config."""
+    """``values`` with each int, float, str or bool field of ``cls``, and
+    each item of a ``tuple[<one of those>, ...]`` field, checked against its
+    declared type. A tuple field takes a list. An int given for a float
+    becomes one, so ``1`` and ``1.0`` are one config."""
     values = dict(values)
     for name, want in typing.get_type_hints(cls).items():
-        if name not in values or want not in (int, float, str, bool):
+        if name not in values:
             continue
         value = values[name]
-        if want is float and type(value) is int:
-            values[name] = value = float(value)
-        if type(value) is not want:
-            raise ValueError(
-                f"config key {prefix}{name} must be {want.__name__}, got {value!r}")
+        if typing.get_origin(want) is tuple:
+            item = typing.get_args(want)[0]
+            if not (isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)):
+                raise ValueError(f"config key {prefix}{name} must be a list of "
+                                 f"{item.__name__}, got {value!r}")
+            values[name] = tuple(map(item, value))
+        elif want in (int, float, str, bool):
+            if not _fits(value, want):
+                raise ValueError(
+                    f"config key {prefix}{name} must be {want.__name__}, got {value!r}")
+            values[name] = want(value)
     return values
 
 
@@ -357,13 +370,16 @@ def _ledger_for_input(synthetic_file: str | Path) -> tuple[BudgetLedger, bool]:
     except FileNotFoundError:
         return BudgetLedger(), False
     entries = []
-    for entry in data["budget_ledger"]["entries"]:
-        params = PrivacyParams(
-            epsilon=float(entry["epsilon"]),
-            delta=float(entry["delta"]),
-            mechanism=Mechanism(entry["mechanism"]),
-        )
-        entries.append((str(entry["label"]), params))
+    try:
+        for entry in data["budget_ledger"]["entries"]:
+            params = PrivacyParams(
+                epsilon=float(entry["epsilon"]),
+                delta=float(entry["delta"]),
+                mechanism=Mechanism(entry["mechanism"]),
+            )
+            entries.append((str(entry["label"]), params))
+    except KeyError as exc:
+        raise ValueError(f"{sibling} has no key {exc.args[0]!r}") from None
     return BudgetLedger(entries=tuple(entries)), True
 
 
@@ -473,13 +489,6 @@ def _score(name: str, corpus: Corpus, test: Corpus, seed: int, source: str,
                     train_source=source, config_fingerprint=fingerprint)
 
 
-def _icl_config(config: ExperimentConfig, shots: int, source: str, seed: int,
-                *labels) -> IclConfig:
-    """ICL settings whose stream is ``subseed(seed, "icl", shots, *labels)``."""
-    return IclConfig(shots=shots, demo_source=source, backend=config.backend,
-                     seed=subseed(seed, "icl", shots, *labels))
-
-
 def _icl_reports(
     config: ExperimentConfig,
     client,
@@ -488,19 +497,24 @@ def _icl_reports(
     test: Corpus,
     fingerprint: str,
 ) -> list[EvalReport]:
+    """One ICL report per shot count and demo source. Each run's stream is
+    ``subseed(config.seed, "icl", shots, source)``; 0-shot has no source."""
+    workers = config.backend.max_concurrent
     reports = []
     for shots in config.icl_shots:
         if shots == 0:
             # demo-free, so one run covers both table columns
-            rep = icl_evaluate(_icl_config(config, 0, "Original", config.seed), train, test,
-                               client=client, config_fingerprint=fingerprint)
+            rep = icl_evaluate(0, train, test, client=client,
+                               seed=subseed(config.seed, "icl", 0), workers=workers,
+                               config_fingerprint=fingerprint)
             reports.append(rep)
             reports.append(dataclasses.replace(rep, train_source="Synthetic",
                                                n_unparseable=0))
             continue
         for source, demo_corpus in (("Original", train), ("Synthetic", synthetic)):
-            icl_cfg = _icl_config(config, shots, source, config.seed, source)
-            reports.append(icl_evaluate(icl_cfg, demo_corpus, test, client=client,
+            reports.append(icl_evaluate(shots, demo_corpus, test, client=client,
+                                        seed=subseed(config.seed, "icl", shots, source),
+                                        workers=workers, demo_source=source,
                                         config_fingerprint=fingerprint))
     return reports
 
@@ -607,9 +621,11 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
             for name in config.models:
                 with stage(f"evaluate-{name}"):
                     if name == "icl":
-                        icl_cfg = _icl_config(config, max(config.icl_shots), "Synthetic",
-                                              rep_seed, "Synthetic")
-                        report = icl_evaluate(icl_cfg, synthetic, test, client=client)
+                        shots = max(config.icl_shots)
+                        report = icl_evaluate(
+                            shots, synthetic, test, client=client,
+                            seed=subseed(rep_seed, "icl", shots, "Synthetic"),
+                            workers=config.backend.max_concurrent, demo_source="Synthetic")
                     else:
                         report = _score(name, synthetic, test, rep_seed, "Synthetic")
                 accuracies.setdefault((name, requested), []).append(report.accuracy)

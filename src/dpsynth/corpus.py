@@ -110,9 +110,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.records)
 
-    def by_class(self, label: ClassLabel) -> tuple[NewsRecord, ...]:
-        return tuple(r for r in self.records if r.label is label)
-
     @cached_property
     def token_counts(self) -> TokenCounts:
         """The record x token count arrays, built on first use and kept."""

@@ -6,6 +6,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..corpus import LABELS, ClassLabel, Corpus, NewsRecord, normalize_label
 from ..rngutil import make_rng, subseed
 from .prompts import build_generation_prompt
@@ -120,35 +122,24 @@ def generate_batch(backend, prompt: str, config: GenerationConfig, seed: int) ->
 
 # ---------------------------------------------------------------- demo selection
 
-def select_demos(original: Corpus, num_shots: int, seed: int) -> list[NewsRecord]:
-    """Seed-deterministic demonstration picks from the original corpus.
+def select_demos(corpus: Corpus, n: int, seed: int) -> list[NewsRecord]:
+    """Seed-deterministic demonstration picks: the one choice of which
+    records of ``corpus`` enter a generation or ICL prompt.
 
-    When num_shots is a multiple of 4 each class contributes equally
-    (ValueError if a class cannot); otherwise classes are cycled in
-    enum order until the count is met.
+    Every class gives n // 4 distinct records, and n % 4 distinct classes,
+    drawn at random, each give one more. Records come out in class order
+    and none appears twice. Raises ValueError when a class has too few.
     """
-    if num_shots == 0:
-        return []
     rng = make_rng(subseed(seed, "demos"))
-    pools = {label: list(original.by_class(label)) for label in LABELS}
+    extra = rng.choice(len(LABELS), size=n % 4, replace=False) if n % 4 else ()
     demos: list[NewsRecord] = []
-    if num_shots % 4 == 0:
-        per_class = num_shots // 4
-        for label in LABELS:
-            pool = pools[label]
-            if len(pool) < per_class:
-                raise ValueError(
-                    f"class {label.display}: need {per_class} demo records, have {len(pool)}"
-                )
-            picks = rng.choice(len(pool), size=per_class, replace=False)
-            demos.extend(pool[int(i)] for i in picks)
-    else:
-        for k in range(num_shots):
-            label = LABELS[k % 4]
-            pool = pools[label]
-            if not pool:
-                raise ValueError(f"class {label.display}: no demo records available")
-            demos.append(pool[int(rng.integers(0, len(pool)))])
+    for k, label in enumerate(LABELS):
+        want = n // 4 + (k in extra)
+        pool = np.flatnonzero(corpus.label_ids == k)
+        if len(pool) < want:
+            raise ValueError(f"class {label.display}: need {want} demo records, have {len(pool)}")
+        picks = pool[rng.choice(len(pool), size=want, replace=False)]
+        demos.extend(corpus.records[i] for i in picks)
     return demos
 
 

@@ -217,6 +217,10 @@ class TestLoadConfig:
         ({"gen": {"batch_size": 8.0}}, "gen.batch_size must be int, got 8.0"),
         ({"gen": {"temperature": False}}, "gen.temperature must be float, got False"),
         ({"backend": {"retry_limit": "3"}}, "backend.retry_limit must be int, got '3'"),
+        ({"models": "mnb"}, "models must be a list of str, got 'mnb'"),
+        ({"icl_shots": 4}, "icl_shots must be a list of int, got 4"),
+        ({"epsilons": "0,1"}, "epsilons must be a list of float, got '0,1'"),
+        ({"icl_shots": [False, 2]}, "icl_shots must be a list of int, got [False, 2]"),
     ])
     def test_values_of_the_wrong_type_fail_in_the_config_stage(
             self, tmp_path, capsys, extra, message):
@@ -970,7 +974,7 @@ class TestCmdAudit:
         assert "member and non-member" in err
 
 
-@pytest.mark.parametrize("corruption", ["truncated", "epsilon-not-a-number"])
+@pytest.mark.parametrize("corruption", ["truncated", "epsilon-not-a-number", "no-budget-ledger"])
 @pytest.mark.parametrize("command, report", [("evaluate", "evaluation.json"),
                                              ("audit", "audit.json")])
 def test_corrupt_generate_manifest_fails_in_the_load_stage(generated, capsys, corruption,
@@ -979,16 +983,21 @@ def test_corrupt_generate_manifest_fails_in_the_load_stage(generated, capsys, co
     # read as a ledger must stop the run before any model is trained.
     path, out = generated
     manifest = out / "manifest_generate.json"
+    data = read_json(manifest)
     if corruption == "truncated":
         manifest.write_text(manifest.read_text(encoding="utf-8")[:60], encoding="utf-8")
-    else:
-        data = read_json(manifest)
+    elif corruption == "epsilon-not-a-number":
         data["budget_ledger"]["entries"][0]["epsilon"] = "abc"
+        manifest.write_text(json.dumps(data), encoding="utf-8")
+    else:
+        del data["budget_ledger"]
         manifest.write_text(json.dumps(data), encoding="utf-8")
     argv = [command, "--config", str(path), "--synthetic", str(out / "synthetic.jsonl")]
     assert main(argv + (["--models", "mnb"] if command == "evaluate" else [])) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: stage 'load-synthetic': ") and err.count("\n") == 1
+    if corruption == "no-budget-ledger":
+        assert err.endswith(f": {manifest} has no key 'budget_ledger'\n")
     assert not (out / report).exists()
 
 

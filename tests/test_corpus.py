@@ -64,7 +64,7 @@ def test_record_text_joins_title_and_description():
     assert r.title + " " + r.description == "Hello world news"
 
 
-def test_corpus_by_class_and_counts():
+def test_corpus_label_ids_and_counts():
     c = corp(
         rec("a1", "b", ClassLabel.WORLD),
         rec("a2", "b", ClassLabel.SPORTS),
@@ -74,7 +74,7 @@ def test_corpus_by_class_and_counts():
     counts = Counter(r.label for r in c)
     assert counts[ClassLabel.WORLD] == 2
     assert counts[ClassLabel.SCITECH] == 0
-    assert [r.title for r in c.by_class(ClassLabel.WORLD)] == ["a1", "a3"]
+    assert c.label_ids.tolist() == [0, 1, 0]
 
 
 @given(st.lists(st.sampled_from(LABELS), max_size=30))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from dpsynth.corpus import _LABEL_ALIASES, LABELS, ClassLabel, Corpus, tokenize
 from dpsynth.evaluation import svm as svm_module
 from dpsynth.evaluation.features import fit_tfidf, transform, transform_corpus
-from dpsynth.evaluation.icl import IclConfig, icl_evaluate, parse_label_response, select_icl_demos
+from dpsynth.evaluation.icl import VALID_SHOTS, icl_evaluate, parse_label_response
 from dpsynth.evaluation.linear import predict, probabilities, scores
 from dpsynth.evaluation.mnb import train_mnb
 from dpsynth.evaluation.report import (
@@ -27,8 +27,10 @@ from dpsynth.evaluation.report import (
 )
 from dpsynth.evaluation.svm import train_svm
 from dpsynth.rngutil import make_rng, subseed
-from dpsynth.synth.backends import BackendSpec, MockClient
+from dpsynth.synth.backends import MockClient
+from dpsynth.synth.generate import select_demos
 from dpsynth.synth.mock import mock_original_corpus
+from dpsynth.synth.prompts import build_classification_prompt
 
 from helpers import (
     ScriptedClient,
@@ -346,16 +348,6 @@ class TestSvm:
 # ---------------------------------------------------------------- icl
 
 
-class TestIclConfig:
-    def test_shot_validation(self):
-        for shots in (0, 2, 4):
-            assert IclConfig(shots=shots).shots == shots
-        with pytest.raises(ValueError):
-            IclConfig(shots=3)
-        with pytest.raises(ValueError):
-            IclConfig(shots=4, demo_source="Mixed")
-
-
 class TestParseLabelResponse:
     @pytest.mark.parametrize(
         "text,expected",
@@ -384,32 +376,33 @@ class TestParseLabelResponse:
 
 
 class TestIclDemoSelection:
+    # ICL demonstrations come from select_demos; these are its ICL shot counts.
     def test_zero_shot_selects_nothing(self):
-        assert select_icl_demos(IclConfig(shots=0), mock_original_corpus(2, 0)) == []
+        assert select_demos(mock_original_corpus(2, 0), 0, seed=0) == []
 
     def test_four_shot_covers_classes(self):
-        config = IclConfig(shots=4, seed=3)
-        demos = select_icl_demos(config, mock_original_corpus(4, 0))
+        demos = select_demos(mock_original_corpus(4, 0), 4, seed=3)
         assert [d.label for d in demos] == list(LABELS)
-        assert select_icl_demos(config, mock_original_corpus(4, 0)) == demos
+        assert select_demos(mock_original_corpus(4, 0), 4, seed=3) == demos
 
     def test_two_shot_uses_distinct_classes(self):
-        demos = select_icl_demos(IclConfig(shots=2, seed=8), mock_original_corpus(4, 0))
-        assert len(demos) == 2
-        assert demos[0].label is not demos[1].label
+        for seed in range(50):
+            demos = select_demos(mock_original_corpus(4, 0), 2, seed=seed)
+            assert len(demos) == 2
+            assert demos[0].label is not demos[1].label
 
     def test_missing_class_raises(self):
         full = mock_original_corpus(2, 0)
         partial = Corpus(tuple(r for r in full.records if r.label is not T))
-        with pytest.raises(ValueError, match="^class Sci/Tech: no demo records available$"):
-            select_icl_demos(IclConfig(shots=4), partial)
+        with pytest.raises(ValueError, match="^class Sci/Tech: need 1 demo records, have 0$"):
+            select_demos(partial, 4, seed=0)
 
 
 class TestIclEvaluate:
     def test_mock_backend_recovers_class_vocabulary(self):
         demo_corpus = mock_original_corpus(3, seed=1)
         test = mock_original_corpus(10, seed=2)
-        report = icl_evaluate(IclConfig(shots=4, seed=0), demo_corpus, test, client=MockClient())
+        report = icl_evaluate(4, demo_corpus, test, client=MockClient(), seed=0)
         assert report.model_tag == "icl-4shot"
         assert report.n_test == 40
         assert report.accuracy >= 0.75
@@ -418,7 +411,7 @@ class TestIclEvaluate:
     def test_scripted_constant_answer(self):
         test = mock_original_corpus(3, seed=4)  # 3 of 12 records are World
         client = ScriptedClient(['Class Label: "World"'])
-        report = icl_evaluate(IclConfig(shots=0, seed=0), corp(), test, client=client)
+        report = icl_evaluate(0, corp(), test, client=client, seed=0)
         assert report.accuracy == pytest.approx(0.25)
         assert report.per_class_accuracy[W] == 1.0
         assert report.per_class_accuracy[S] == 0.0
@@ -427,7 +420,7 @@ class TestIclEvaluate:
     def test_query_sampling_is_pinned(self):
         test = mock_original_corpus(1, seed=4)
         client = ScriptedClient(["World"])
-        icl_evaluate(IclConfig(shots=0, seed=7), corp(), test, client=client)
+        icl_evaluate(0, corp(), test, client=client, seed=7)
         for call in client.calls:
             assert call["temperature"] == 0.0
             assert call["top_p"] == 1.0
@@ -437,41 +430,36 @@ class TestIclEvaluate:
     def test_unparseable_responses_scored_incorrect(self):
         test = mock_original_corpus(2, seed=4)
         client = ScriptedClient(["beats me"])
-        report = icl_evaluate(IclConfig(shots=0), corp(), test, client=client)
+        report = icl_evaluate(0, corp(), test, client=client, seed=0)
         assert report.accuracy == 0.0
         assert report.n_unparseable == 8
 
     def test_demos_appear_in_every_prompt(self):
+        # every prompt shows exactly the records select_demos picks, in order
         demo_corpus = mock_original_corpus(2, seed=9)
         test = mock_original_corpus(1, seed=10)
-        client = ScriptedClient(["World"])
-        config = IclConfig(shots=4, seed=2)
-        demos = select_icl_demos(config, demo_corpus)
-        icl_evaluate(config, demo_corpus, test, client=client)
-        for prompt in client.prompts:
-            for demo in demos:
-                assert demo.title in prompt
+        for shots in VALID_SHOTS:
+            client = ScriptedClient(["World"])
+            icl_evaluate(shots, demo_corpus, test, client=client, seed=2)
+            demos = select_demos(demo_corpus, shots, 2)
+            assert len(demos) == shots
+            assert client.prompts == [build_classification_prompt(demos, q) for q in test]
 
     def test_zero_shot_reports_original_source(self):
         test = mock_original_corpus(1, seed=2)
-        report = icl_evaluate(IclConfig(shots=0), corp(), test, client=ScriptedClient(["World"]))
+        report = icl_evaluate(0, corp(), test, client=ScriptedClient(["World"]), seed=0,
+                              demo_source="Synthetic")
         assert report.train_source == "Original"
 
     def test_empty_test_corpus_rejected(self):
         with pytest.raises(ValueError, match="^cannot evaluate on an empty corpus$"):
-            icl_evaluate(IclConfig(shots=0), corp(), corp(), client=ScriptedClient(["x"]))
+            icl_evaluate(0, corp(), corp(), client=ScriptedClient(["x"]), seed=0)
 
     def test_threaded_and_serial_agree(self):
         demo_corpus = mock_original_corpus(2, seed=5)
         test = mock_original_corpus(6, seed=6)
-        serial = icl_evaluate(
-            IclConfig(shots=4, seed=1, backend=BackendSpec(max_concurrent=1)),
-            demo_corpus, test, client=MockClient(),
-        )
-        threaded = icl_evaluate(
-            IclConfig(shots=4, seed=1, backend=BackendSpec(max_concurrent=4)),
-            demo_corpus, test, client=MockClient(),
-        )
+        serial = icl_evaluate(4, demo_corpus, test, client=MockClient(), seed=1, workers=1)
+        threaded = icl_evaluate(4, demo_corpus, test, client=MockClient(), seed=1, workers=4)
         assert serial.accuracy == threaded.accuracy
         assert serial.per_class_accuracy == threaded.per_class_accuracy
 

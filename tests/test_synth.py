@@ -833,9 +833,39 @@ class TestSelectDemos:
         assert counts == {label: 2 for label in LABELS}
         assert len({(d.title, d.description) for d in demos}) == 8
 
-    def test_non_multiple_cycles_enum_order(self):
-        demos = select_demos(mock_original_corpus(3, 0), 2, seed=9)
-        assert [d.label for d in demos] == [LABELS[0], LABELS[1]]
+    def test_every_class_gives_a_quarter_and_random_classes_the_rest(self):
+        # n // 4 records per class, one more from each of n % 4 distinct
+        # classes drawn at random, in class order, no record twice
+        corpus = mock_original_corpus(3, 0)
+        assert len({(r.title, r.description) for r in corpus.records}) == 12
+        for n in range(10):
+            extra_classes = Counter()
+            for seed in range(200):
+                demos = select_demos(corpus, n, seed)
+                assert len(demos) == n
+                assert len({(d.title, d.description) for d in demos}) == n, (n, seed)
+                assert all(d in corpus.records for d in demos)
+                labels = [d.label for d in demos]
+                assert labels == sorted(labels, key=LABELS.index)
+                shares = Counter(labels)
+                assert all(shares[label] in (n // 4, n // 4 + 1) for label in LABELS)
+                plus_one = [label for label in LABELS if shares[label] == n // 4 + 1]
+                assert len(plus_one) == n % 4, (n, seed)
+                extra_classes.update(plus_one)
+            assert set(extra_classes) == (set(LABELS) if n % 4 else set()), n
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_multiples_of_four_keep_one_draw_per_class(self, n):
+        # the draws every multiple of 4 made before the extra classes existed
+        corpus = mock_original_corpus(5, 0)
+        for seed in range(20):
+            rng = make_rng(subseed(seed, "demos"))
+            want = []
+            for label in LABELS:
+                pool = [r for r in corpus.records if r.label is label]
+                want.extend(pool[int(i)] for i in rng.choice(len(pool), size=n // 4,
+                                                             replace=False))
+            assert select_demos(corpus, n, seed) == want
 
     def test_missing_class_raises(self):
         full = mock_original_corpus(2, 0)
