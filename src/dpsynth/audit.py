@@ -58,11 +58,14 @@ def _true_label_confidences(model: LinearModel, X, label_ids: np.ndarray) -> np.
     return np.clip(out, 0.0, 1.0)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``values``; tied values share the mean of their ranks."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+def _distinct_and_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``values`` in ascending order, and the 1-based rank of
+    each value; tied values share the mean of their ranks. One ``np.unique``
+    serves both, and asking it for counts also keeps numpy from importing
+    ``numpy.ma`` to check for a mask."""
+    distinct, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
     last = np.cumsum(counts)
-    return (last - (counts - 1) / 2.0)[inverse]
+    return distinct, (last - (counts - 1) / 2.0)[inverse]
 
 
 def collect_confidences(
@@ -120,7 +123,7 @@ def threshold_attack(members, nonmembers) -> MiaResult:
     n_m = member_conf.size
     n_n = nonmember_conf.size
     combined = np.concatenate([member_conf, nonmember_conf])
-    thresholds = np.unique(combined)
+    thresholds, ranks = _distinct_and_ranks(combined)
     # Values >= theta are those at or after theta's left insertion point.
     tpr = (n_m - np.searchsorted(np.sort(member_conf), thresholds, side="left")) / n_m
     fpr = (n_n - np.searchsorted(np.sort(nonmember_conf), thresholds, side="left")) / n_n
@@ -129,7 +132,6 @@ def threshold_attack(members, nonmembers) -> MiaResult:
     best_adv = float(advantages[best])
     best_threshold = float(thresholds[best])
 
-    ranks = _average_ranks(combined)
     u_stat = float(ranks[:n_m].sum()) - n_m * (n_m + 1) / 2.0
     auc = u_stat / (n_m * n_n)
 

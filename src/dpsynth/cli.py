@@ -766,16 +766,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The comma-list flags and how each item is read.
-_LIST_ITEMS = {"models": str.strip, "icl_shots": int, "epsilons": float}
+def _list_items(key: str, value: str, item: type) -> tuple:
+    """A comma-list flag's items, each read as ``item``; blank items are
+    skipped. A malformed item is named with its flag."""
+    items = []
+    for text in filter(None, map(str.strip, value.split(","))):
+        try:
+            items.append(item(text))
+        except ValueError:
+            flag = "--" + key.replace("_", "-")
+            raise ValueError(f"{flag}: item {text!r} is not a valid {item.__name__}") from None
+    return tuple(items)
 
 
 def _overrides_from_args(args: dict) -> dict:
-    """Config overrides from the flags given, keyed as the config file is."""
+    """Config overrides from the flags given, keyed as the config file is.
+    A comma-list flag sets a ``tuple[<item>, ...]`` config key, and its
+    items are read as that key's item type."""
+    hints = typing.get_type_hints(ExperimentConfig)
     over: dict = {}
     for key, value in args.items():
-        if key in _LIST_ITEMS:
-            value = tuple(_LIST_ITEMS[key](v) for v in value.split(",") if v.strip())
+        if typing.get_origin(hints.get(key)) is tuple:
+            value = _list_items(key, value, typing.get_args(hints[key])[0])
         section, _, name = key.rpartition(".")
         (over.setdefault(section, {}) if section else over)[name] = value
     return over

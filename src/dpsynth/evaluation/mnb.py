@@ -29,14 +29,16 @@ def train_mnb(train: Corpus, features: TfIdfModel, alpha: float = 1.0) -> Linear
     n_classes = len(classes)
     V = features.n_features
 
+    entry_class = np.repeat(y, np.diff(X.indptr))
     log_prior = np.empty(n_classes)
     log_prob = np.empty((n_classes, V))
     for k in range(n_classes):
-        rows = np.flatnonzero(y == k)
-        mass = np.asarray(X[rows].sum(axis=0)).ravel()
+        # The class's stored entries in row order, summed per column.
+        mine = entry_class == k
+        mass = np.bincount(X.indices[mine], weights=X.data[mine], minlength=V)
         total = mass.sum()
         log_prob[k] = np.log(mass + alpha) - np.log(total + alpha * V)
-        log_prior[k] = np.log(len(rows) / len(y))
+        log_prior[k] = np.log(np.count_nonzero(y == k) / len(y))
     return LinearModel(classes=classes, weights=log_prob, biases=log_prior, link=softmax)
 
 

@@ -23,12 +23,17 @@ classes, so the audit reads class probabilities off any SVM.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..corpus import Corpus
 from ..rngutil import make_rng, subseed
 from .features import TfIdfModel, transform_corpus
 from .linear import LinearModel, classes_and_y
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 DEFAULT_C_GRID = (0.1, 1.0, 10.0)
 DEFAULT_VAL_FRACTION = 0.30
@@ -159,7 +164,11 @@ def train_svm(
     if not c_grid or any(c <= 0 for c in c_grid):
         raise ValueError("C grid must hold positive values")
 
-    X = transform_corpus(features, train)
+    # Newton-CG makes many products per fit, and scipy's CSR kernels are
+    # about 10x faster at them than bincount; no other model loads scipy.
+    from scipy import sparse
+    tfidf = transform_corpus(features, train)
+    X = sparse.csr_matrix((tfidf.data, tfidf.indices, tfidf.indptr), shape=tfidf.shape)
     n_classes = len(classes)
 
     best_c = c_grid[0]

@@ -10,7 +10,7 @@ import pytest
 from dpsynth.audit import (
     LeakageReport,
     MiaResult,
-    _average_ranks,
+    _distinct_and_ranks,
     collect_confidences,
     compare_leakage,
     threshold_attack,
@@ -198,7 +198,9 @@ class TestNumpyHelpers:
         n = int(rng.integers(1, 400))
         # few distinct values, so most entries are tied
         values = rng.integers(0, int(rng.integers(1, 12)), size=n) / 7.0
-        assert np.array_equal(_average_ranks(values), rankdata(values, method="average"))
+        distinct, ranks = _distinct_and_ranks(values)
+        assert np.array_equal(distinct, np.unique(values))
+        assert np.array_equal(ranks, rankdata(values, method="average"))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_logistic_matches_expit(self, seed):

@@ -439,11 +439,11 @@ def test_cli_import_leaves_scipy_stats_and_special_unloaded():
 
 
 def test_scipy_and_requests_load_only_for_the_commands_that_use_them(tmp_path):
-    # Start-up, a mock generate and an ICL-only evaluate build no sparse
-    # matrix and send no HTTP request, so they must not pay to import scipy,
-    # requests or the standard library's HTTP client. The classifier
-    # commands load scipy themselves and write the same bytes as a process
-    # that had those modules loaded from the start.
+    # Start-up, a mock generate, the audit and the MNB and ICL evaluations
+    # and sweeps train no SVM and send no HTTP request, so they must not pay
+    # to import scipy, requests or the standard library's HTTP client. SVM
+    # training loads scipy.sparse itself, and every command writes the same
+    # bytes as a process that had those modules loaded from the start.
     import dpsynth
 
     src = str(Path(dpsynth.__file__).resolve().parents[1])
@@ -453,8 +453,10 @@ def test_scipy_and_requests_load_only_for_the_commands_that_use_them(tmp_path):
         "generate": ["generate"],
         "evaluate-icl": ["evaluate", "--synthetic", synthetic, "--models", "icl",
                          "--icl-shots", "0"],
-        "evaluate-mnb-svm": ["evaluate", "--synthetic", synthetic, "--models", "mnb,svm"],
+        "evaluate-mnb": ["evaluate", "--synthetic", synthetic, "--models", "mnb"],
+        "sweep-mnb": ["sweep", "--models", "mnb", "--epsilons", "0,1"],
         "audit": ["audit", "--synthetic", synthetic],
+        "evaluate-svm": ["evaluate", "--synthetic", synthetic, "--models", "svm"],
     }
 
     def argv(root: str) -> dict[str, list[str]]:
@@ -478,10 +480,10 @@ def test_scipy_and_requests_load_only_for_the_commands_that_use_them(tmp_path):
                          text=True, cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     seen = json.loads(out.stdout.splitlines()[-1])
-    assert seen["import"] == seen["generate"] == seen["evaluate-icl"] == []
-    assert "scipy.sparse" in seen["evaluate-mnb-svm"]
+    for name in ("import", "generate", "evaluate-icl", "evaluate-mnb", "sweep-mnb", "audit"):
+        assert seen[name] == [], name
+    assert "scipy.sparse" in seen["evaluate-svm"]
     assert not any(m.startswith("requests") for loaded in seen.values() for m in loaded)
-    assert not {"urllib.request", "http.client"} & set(seen["audit"])
 
     # The same commands in a process that has those modules loaded already.
     import http.client  # noqa: F401
@@ -492,8 +494,9 @@ def test_scipy_and_requests_load_only_for_the_commands_that_use_them(tmp_path):
     for args in argv("eager").values():
         assert main(args) == 0
     for artifact in ("generate/synthetic.jsonl", "generate/histogram_noisy.json",
-                     "evaluate-icl/evaluation.json", "evaluate-mnb-svm/evaluation.json",
-                     "evaluate-mnb-svm/evaluation.md", "audit/audit.json"):
+                     "evaluate-icl/evaluation.json", "evaluate-mnb/evaluation.json",
+                     "sweep-mnb/sweep.json", "audit/audit.json",
+                     "evaluate-svm/evaluation.json", "evaluate-svm/evaluation.md"):
         lazy = (tmp_path / "lazy" / artifact).read_bytes()
         assert lazy == (tmp_path / "eager" / artifact).read_bytes(), artifact
 
@@ -828,6 +831,8 @@ class TestUncalibratableRelease:
         ["generate", "--epsilon", "inf"],      # noise scale 0
         ["generate", "--epsilon", "1e-320"],   # noise scale overflows to inf
         ["sweep", "--epsilons", "1,inf"],
+        ["evaluate", "--synthetic", "s.jsonl", "--icl-shots", "abc"],
+        ["sweep", "--epsilons", "1,x"],
     ])
     def test_fails_in_the_config_stage(self, tmp_path, capsys, monkeypatch, argv):
         calls = []
@@ -837,6 +842,16 @@ class TestUncalibratableRelease:
         assert "error: stage 'config':" in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["evaluate", "--synthetic", "s.jsonl", "--icl-shots", "0, abc"],
+         "--icl-shots: item 'abc' is not a valid int"),
+        (["sweep", "--epsilons", "1,x"], "--epsilons: item 'x' is not a valid float"),
+    ])
+    def test_malformed_list_item_names_its_flag(self, tmp_path, capsys, argv, message):
+        path = write_config(tmp_path)
+        assert main([*argv, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: stage 'config': {message}\n"
 
 
 class TestOutputDirectory:

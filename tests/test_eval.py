@@ -86,14 +86,16 @@ class TestTfIdf:
         corpus = mock_original_corpus(5, seed=1)
         model = fit_tfidf(corpus)
         X = transform_corpus(model, corpus)
-        norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
+        norms = np.linalg.norm(X.toarray(), axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
 
     def test_unknown_tokens_become_zero_vector(self):
         _, model = self.fitted()
         row = transform(model, rec("zebra", "quokka wombat", W))
-        assert row.nnz == 0
+        assert row.data.size == row.indices.size == 0
+        assert row.indptr.tolist() == [0, 0]
         assert row.shape == (1, 3)
+        assert not row.toarray().any()
 
     def test_transform_corpus_matches_per_record_transform(self):
         corpus = mock_original_corpus(3, seed=2)
@@ -105,6 +107,48 @@ class TestTfIdf:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="^cannot fit TF-IDF on an empty corpus$"):
             fit_tfidf(corp())
+
+
+class TestMatchesScipyCsr:
+    """The tf-idf matrix is numpy arrays; scoring, MNB training and row
+    selection must give scipy's CSR results to the last bit, so no report
+    moves with the representation."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        from scipy import sparse
+
+        corpus = mock_original_corpus(40, seed=7)
+        features = fit_tfidf(mock_original_corpus(30, seed=8))
+        X = transform_corpus(features, corpus)
+        reference = sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+        return corpus, features, X, reference
+
+    def test_scores(self, fitted):
+        corpus, features, X, reference = fitted
+        rng = np.random.default_rng(3)
+        model = dataclasses.replace(train_mnb(corpus, features),
+                                    weights=rng.normal(size=(4, X.shape[1])),
+                                    biases=rng.normal(size=4))
+        expected = reference @ model.weights.T + model.biases
+        assert np.array_equal(scores(model, X), expected)
+
+    def test_mnb_class_masses(self, fitted):
+        corpus, features, _, reference = fitted
+        alpha, V = 1.0, features.n_features
+        model = train_mnb(corpus, features, alpha=alpha)
+        y = class_rows(model, corpus)
+        for k in range(len(model.classes)):
+            mass = np.asarray(reference[np.flatnonzero(y == k)].sum(axis=0)).ravel()
+            expected = np.log(mass + alpha) - np.log(mass.sum() + alpha * V)
+            assert np.array_equal(model.weights[k], expected)
+
+    def test_row_selection(self, fitted):
+        _, _, X, reference = fitted
+        rows = np.sort(np.random.default_rng(4).choice(X.shape[0], 50, replace=False))
+        for picked in (rows, rows[::-1], np.array([], dtype=np.int64)):
+            assert np.array_equal(X[picked].toarray(), reference[picked].toarray())
+        assert np.array_equal(X.toarray(), reference.toarray())
 
 
 # Mixed case, digits, repeats, a one-letter token (dropped) and fields that
