@@ -329,9 +329,11 @@ def _load_original(config: ExperimentConfig) -> tuple[Corpus, Corpus]:
                 "or use 'mock:<N>' for the built-in sample corpus"
             )
         if config.dataset_path.startswith("mock:"):
-            n = int(config.dataset_path.split(":", 1)[1])
+            value = config.dataset_path.split(":", 1)[1]
+            n = int(value) if value.isdecimal() else 0
             if n < 4 or n % 4 != 0:
-                raise ValueError("mock:<N> needs N to be a positive multiple of 4")
+                raise ValueError(
+                    f"mock:<N> needs N to be a positive multiple of 4, got {value!r}")
             corpus = mock_original_corpus(n // 4, seed=config.seed)
         else:
             path = Path(config.dataset_path)

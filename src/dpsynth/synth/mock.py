@@ -13,6 +13,8 @@ import hashlib
 import json
 import re
 
+import numpy as np
+
 from ..corpus import LABELS, ClassLabel, Corpus, NewsRecord, tokenize
 from ..rngutil import make_rng
 from .prompts import PROMPT_LABEL
@@ -50,49 +52,52 @@ def _mock_seed(prompt_hash: str, seed: int) -> int:
     return int.from_bytes(h.digest()[:8], "big")
 
 
-def _pick(rng, words) -> str:
-    return words[int(rng.integers(0, len(words)))]
+# Row i holds class LABELS[i]'s words, then the shared filler words from
+# index _N_CLASS on, so that one (label, index) lookup picks either kind.
+_WORDS = np.array([CLASS_VOCAB[label] + FILLER_WORDS for label in LABELS], dtype=object)
+_TITLE_WORDS = np.array([[w.capitalize() for w in row] for row in _WORDS], dtype=object)
+_N_CLASS, _N_ALL = len(CLASS_VOCAB[LABELS[0]]), _WORDS.shape[1]
+_CLASS_SHARE = 0.55  # chance that a description word is a class word
 
 
-def _title_words(rng, label: ClassLabel) -> list[str]:
-    vocab = CLASS_VOCAB[label]
-    words = [_pick(rng, vocab), _pick(rng, vocab), _pick(rng, FILLER_WORDS)]
-    order = rng.permutation(len(words))
-    return [words[i] for i in order]
+def compose_mock_texts(rng, label_ids) -> list[tuple[str, str]]:
+    """(title, description) pairs in the mock house style, one per label index.
 
-
-def _description_words(rng, label: ClassLabel) -> list[str]:
-    vocab = CLASS_VOCAB[label]
-    n_words = int(rng.integers(12, 17))
-    out = []
-    for _ in range(n_words):
-        out.append(_pick(rng, vocab) if rng.random() < 0.55 else _pick(rng, FILLER_WORDS))
-    return out
-
-
-def compose_mock_text(rng, label: ClassLabel) -> tuple[str, str]:
-    """One (title, description) pair in the mock house style."""
-    title = " ".join(w.capitalize() for w in _title_words(rng, label))
-    desc_words = _description_words(rng, label)
-    description = (desc_words[0].capitalize() + " " + " ".join(desc_words[1:])).strip() + "."
-    return title, description
+    A title is two class words and one filler word in a uniform order, all
+    capitalised. A description has 12 to 16 words, each a class word with
+    probability 0.55 and a filler word otherwise, with its first word
+    capitalised and a trailing ".". Each field is drawn for all records at once.
+    """
+    label_ids = np.asarray(label_ids, dtype=np.intp)
+    title_idx = rng.integers((0, 0, _N_CLASS), (_N_CLASS, _N_CLASS, _N_ALL),
+                             size=(len(label_ids), 3))
+    title_idx = rng.permuted(title_idx, axis=1)
+    lengths = rng.integers(12, 17, size=len(label_ids))
+    is_class = rng.random(int(lengths.sum())) < _CLASS_SHARE
+    word_idx = rng.integers(np.where(is_class, 0, _N_CLASS), np.where(is_class, _N_CLASS, _N_ALL))
+    words = _WORDS[np.repeat(label_ids, lengths), word_idx].tolist()
+    titles = _TITLE_WORDS[label_ids[:, None], title_idx].tolist()
+    ends = np.cumsum(lengths).tolist()
+    return [
+        (" ".join(title), " ".join(words[b - n:b]).capitalize() + ".")
+        for title, n, b in zip(titles, lengths.tolist(), ends)
+    ]
 
 
 def mock_generation_response(prompt_hash: str, seed: int, n_records: int) -> str:
     """A fenced JSON array of n labeled records, deterministic in (prompt, seed)."""
     rng = make_rng(_mock_seed(prompt_hash, seed))
-    items = []
-    for i in range(n_records):
-        label = LABELS[i % len(LABELS)]
-        title, description = compose_mock_text(rng, label)
-        items.append(
-            {"Title": title, "Description": description, "Class_Label": PROMPT_LABEL[label]}
-        )
+    label_ids = np.arange(n_records) % len(LABELS)
+    items = [
+        {"Title": title, "Description": description, "Class_Label": PROMPT_LABEL[LABELS[i]]}
+        for i, (title, description) in zip(label_ids.tolist(), compose_mock_texts(rng, label_ids))
+    ]
     body = json.dumps(items, indent=1)
     return f"```json\n{body}\n```"
 
 
 _QUERY_MARK = "for the follwoing news:"
+_VOCAB_SETS = {label: frozenset(words) for label, words in CLASS_VOCAB.items()}
 
 
 def mock_classification_response(prompt: str) -> str:
@@ -102,7 +107,7 @@ def mock_classification_response(prompt: str) -> str:
     best = LABELS[0]
     best_score = -1
     for label in LABELS:
-        vocab = set(CLASS_VOCAB[label])
+        vocab = _VOCAB_SETS[label]
         score = sum(1 for t in tokens if t in vocab)
         if score > best_score:
             best, best_score = label, score
@@ -124,9 +129,9 @@ def mock_original_corpus(n_per_class: int, seed: int) -> Corpus:
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
     rng = make_rng(_mock_seed("original-sample", seed))
-    records = []
-    for _ in range(n_per_class):
-        for label in LABELS:
-            title, description = compose_mock_text(rng, label)
-            records.append(NewsRecord(title, description, label))
-    return Corpus(tuple(records))
+    label_ids = np.tile(np.arange(len(LABELS)), n_per_class)
+    texts = compose_mock_texts(rng, label_ids)
+    return Corpus(tuple(
+        NewsRecord(title, description, LABELS[i])
+        for i, (title, description) in zip(label_ids.tolist(), texts)
+    ))

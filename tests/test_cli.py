@@ -685,6 +685,13 @@ class TestCmdGenerate:
         assert main(["generate", "--config", str(path)]) == 1
         assert "multiple of 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "", "1e3", "-8"])
+    def test_malformed_mock_size_named(self, tmp_path, capsys, value):
+        path = write_config(tmp_path, dataset_path=f"mock:{value}")
+        assert main(["generate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"mock:<N> needs N to be a positive multiple of 4, got {value!r}" in err
+
 
 # ---------------------------------------------------------------- evaluate
 
@@ -910,19 +917,19 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("argv, extra, digests", [
         (["generate"], {}, {
-            "synthetic.jsonl": "e78b8fdc9a167c7292c336858710de63c8fb143806ee7047c4d142791072eba8",
-            "histogram_noisy.json": "77b67cfacbc1163906f5a05849f92618a6645266095d65d194c476a57c18997b",
+            "synthetic.jsonl": "cd4af45fc0ba3130b41ea4d1ed5baa4c7f4ec539d2caec3029700862ce835a51",
+            "histogram_noisy.json": "89da63560a2b6ba90c8876b7840a7dc4f626155726d5e8f868bed25960b453c5",
         }),
         (["generate", "--mechanism", "gaussian", "--epsilon", "0.5"], {}, {
-            "synthetic.jsonl": "8b9c3eb34808681428eb4261c2e6aa51a3ca5e5385a3827fecc12708d4a881df",
-            "histogram_noisy.json": "728bb19c7091fde6bf45fecf0b5d43fe5a4b3e7203d60e88bbdc9ad0f8041baf",
+            "synthetic.jsonl": "5242b4fd8cc2a2a45c62d81e0cb252adff7648ba914fdaddff457b44eaa390fa",
+            "histogram_noisy.json": "1586184e2099f3bbe3ca26d39b5868d638b8f70324abf84a3d06ad6b009fd35d",
         }),
         (["generate"], {"epsilon": 0.0}, {
-            "synthetic.jsonl": "61c21bdb708c034defb1581ceba55d31af03cea338ab28ddc61623edbd6c31db",
-            "histogram_noisy.json": "e19918b761d773c4b1830ff0e22b4217593cfe996e13c0ae0a092b29c7eedae0",
+            "synthetic.jsonl": "eefdbdc6c8861c658b5a761724c75cb8a3627268c07dde9f39a9e348401778a8",
+            "histogram_noisy.json": "661e7119b0f7c571d2886e7b77109ccd065d3984cc61584b0330ae49c26d8362",
         }),
         (["sweep", "--epsilons", "0,1", "--models", "mnb", "--sweep-seeds", "2"], {}, {
-            "sweep.json": "aa67e3b4365519ecd25699f4e6c16a7047140a8c6e741ad1839cd1b09cd99516",
+            "sweep.json": "68c1833bcf8d811dab7c0770c166d5ee08bd13e470b708f73d3ac0fce6a53e29",
         }),
     ], ids=["laplace-eps1", "gaussian-eps0.5", "eps0-floor", "sweep-two-seeds"])
     def test_output_digests(self, tmp_path, argv, extra, digests):
@@ -945,9 +952,9 @@ class TestGoldenOutputs:
                      "--models", "mnb,svm,icl", "--icl-shots", "0,2,4"]) == 0
         assert main(["audit", "--config", str(path), "--synthetic", synthetic]) == 0
         for artifact, digest in {
-            "evaluation.json": "4838bd69aa447c63e75a53828c90b562db01f8e728e476f8c3f1cf64328a5c31",
-            "evaluation.md": "52980c9221cc0ef49da44d49dd5293a1a5e4ea2040d537a5d8de11cd95f2e2a0",
-            "audit.json": "89e35216c03d7412984b0372a893d6c9a541cae0bac282ee8d5cdd769105d270",
+            "evaluation.json": "39344b3e50464ac685218a381347b8ff776821f3843fe0e910ab6a25f42ffd01",
+            "evaluation.md": "aa18788cf34aa7ba34e27c31f0126311bc48663432e7f97cb8203495aeadba91",
+            "audit.json": "3ec44450a4164479f6b81518a41ea5ea7dbffdb442a6d41e16839feb2b23b21f",
         }.items():
             assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest, artifact
 

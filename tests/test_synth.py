@@ -38,6 +38,7 @@ from dpsynth.dp import (
 )
 from dpsynth.rngutil import make_rng, subseed
 from dpsynth.synth import backends
+from dpsynth.synth import mock as mock_module
 from dpsynth.synth.backends import (
     BackendSpec,
     HttpClient,
@@ -57,6 +58,7 @@ from dpsynth.synth.generate import (
 from dpsynth.synth.mock import (
     CLASS_VOCAB,
     FILLER_WORDS,
+    compose_mock_texts,
     mock_classification_response,
     mock_generation_response,
     mock_original_corpus,
@@ -281,6 +283,92 @@ class TestMockBackend:
     def test_mock_original_corpus_rejects_zero(self):
         with pytest.raises(ValueError):
             mock_original_corpus(0, seed=1)
+
+    def test_mock_original_corpus_labels_cycle_in_enum_order(self):
+        corpus = mock_original_corpus(5, seed=3)
+        assert [r.label for r in corpus] == list(LABELS) * 5
+
+
+class TestMockComposer:
+    """The law of the mock text, checked on large fixed-seed samples.
+
+    The tolerances are several standard errors wide: they pin the shares and
+    lengths the composer promises, not any particular draw.
+    """
+
+    N_RECORDS = 4000
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        label_ids = np.arange(self.N_RECORDS) % len(LABELS)
+        texts = compose_mock_texts(make_rng(2024), label_ids)
+        return [LABELS[i] for i in label_ids.tolist()], texts
+
+    def test_lists_are_disjoint(self):
+        vocab = [set(CLASS_VOCAB[label]) for label in LABELS]
+        assert sum(map(len, vocab)) == len(set().union(*vocab))
+        assert not set().union(*vocab) & set(FILLER_WORDS)
+
+    def test_title_is_two_class_words_and_one_filler(self, sample):
+        for label, (title, _) in zip(*sample):
+            words = title.split(" ")
+            assert len(words) == 3
+            assert all(w == w.capitalize() for w in words)
+            lower = [w.lower() for w in words]
+            assert sum(w in CLASS_VOCAB[label] for w in lower) == 2
+            assert sum(w in FILLER_WORDS for w in lower) == 1
+
+    def test_filler_slot_is_uniform(self, sample):
+        slots = Counter(
+            next(i for i, w in enumerate(title.lower().split(" ")) if w in FILLER_WORDS)
+            for title, _ in sample[1]
+        )
+        for slot in range(3):
+            assert abs(slots[slot] / self.N_RECORDS - 1 / 3) < 0.03
+
+    def test_description_shape_and_words(self, sample):
+        for label, (_, description) in zip(*sample):
+            assert description.endswith(".") and not description.endswith("..")
+            words = description[:-1].split(" ")
+            assert 12 <= len(words) <= 16
+            assert words[0] == words[0].capitalize()
+            lower = [words[0].lower()] + words[1:]
+            assert all(w in CLASS_VOCAB[label] or w in FILLER_WORDS for w in lower)
+
+    def test_description_lengths_and_class_share(self, sample):
+        lengths = Counter()
+        n_class = n_words = 0
+        for label, (_, description) in zip(*sample):
+            words = description[:-1].lower().split(" ")
+            lengths[len(words)] += 1
+            n_class += sum(w in CLASS_VOCAB[label] for w in words)
+            n_words += len(words)
+        assert sorted(lengths) == [12, 13, 14, 15, 16]
+        assert abs(n_class / n_words - 0.55) < 0.02
+
+    def test_draw_count_does_not_grow_with_the_corpus(self, monkeypatch):
+        # Every field is drawn for all records at once, so a corpus of 2000
+        # records makes as many generator calls as one of 4.
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+
+                def counted(*args, **kwargs):
+                    self.calls += 1
+                    return method(*args, **kwargs)
+                return counted
+
+        made = []
+        real = mock_module.make_rng
+        monkeypatch.setattr(mock_module, "make_rng",
+                            lambda seed: made.append(CountingRng(real(seed))) or made[-1])
+        small, large = mock_original_corpus(1, seed=5), mock_original_corpus(500, seed=5)
+        assert (len(small), len(large)) == (4, 2000)
+        assert len(made) == 2 and made[0].calls > 0
+        assert made[0].calls == made[1].calls
 
 
 # ---------------------------------------------------------------- http backend
