@@ -80,8 +80,9 @@ def collect_confidences(
     Exact (title, description) collisions across the two corpora would make
     membership ill-defined, so they abort the audit. The larger side is
     down-sampled (seed-deterministic, ingestion order preserved) so both
-    sides contribute equally to the attack. Each corpus is featurized whole
-    and the kept rows are selected from its matrix.
+    sides contribute equally to the attack. Each corpus is featurized and
+    scored whole, and the confidences of the kept rows are returned; a row's
+    score depends on that row alone.
     """
     member_keys = {(r.title, r.description) for r in members.records}
     clash = [
@@ -97,11 +98,11 @@ def collect_confidences(
     size = min(len(members.records), len(nonmembers.records))
 
     def confidences(corpus: Corpus) -> np.ndarray:
-        keep = np.arange(len(corpus.records))
-        if len(keep) > size:
-            keep = np.sort(rng.choice(len(keep), size=size, replace=False))
-        X = transform_corpus(features, corpus)[keep]
-        return _true_label_confidences(model, X, corpus.label_ids[keep])
+        X = transform_corpus(features, corpus)
+        conf = _true_label_confidences(model, X, corpus.label_ids)
+        if len(conf) > size:
+            conf = conf[np.sort(rng.choice(len(conf), size=size, replace=False))]
+        return conf
 
     return confidences(members), confidences(nonmembers)
 

@@ -52,8 +52,7 @@ from .evaluation.mnb import train_mnb
 from .evaluation.report import (
     EvalReport,
     evaluate,
-    render_icl_table,
-    render_model_table,
+    render_accuracy_table,
     render_sweep_table,
 )
 from .evaluation.svm import train_svm
@@ -444,11 +443,14 @@ def cmd_generate(config: ExperimentConfig) -> RunManifest:
     created: list[Path] = []
     with stage("write-output"):
         try:
+            # Each path is registered before its write, so one that fails
+            # partway is removed with the rest.
             jsonl_path = out_dir / "synthetic.jsonl"
-            save_jsonl(synthetic, jsonl_path)
             created.append(jsonl_path)
-            hist_path = _write_json(out_dir / "histogram_noisy.json", noisy.to_json_dict())
+            save_jsonl(synthetic, jsonl_path)
+            hist_path = out_dir / "histogram_noisy.json"
             created.append(hist_path)
+            _write_json(hist_path, noisy.to_json_dict())
             manifest = _finish_manifest(
                 "generate", config, started_at, out_dir,
                 outputs={"synthetic": jsonl_path, "noisy_histogram": hist_path},
@@ -498,27 +500,28 @@ def _icl_reports(
     synthetic: Corpus,
     test: Corpus,
     fingerprint: str,
-) -> list[EvalReport]:
-    """One ICL report per shot count and demo source. Each run's stream is
-    ``subseed(config.seed, "icl", shots, source)``; 0-shot has no source."""
+) -> dict[str, tuple[EvalReport, EvalReport]]:
+    """One row per shot count, keyed ``"{shots}-shot"``: the reports with
+    original and with synthetic demos. Each run's stream is
+    ``subseed(config.seed, "icl", shots, source)``; 0-shot has no demos, so
+    one run, whose stream has no source, fills both columns and counts its
+    unparseable answers once."""
     workers = config.backend.max_concurrent
-    reports = []
+    rows = {}
     for shots in config.icl_shots:
         if shots == 0:
-            # demo-free, so one run covers both table columns
             rep = icl_evaluate(0, train, test, client=client,
                                seed=subseed(config.seed, "icl", 0), workers=workers,
                                config_fingerprint=fingerprint)
-            reports.append(rep)
-            reports.append(dataclasses.replace(rep, train_source="Synthetic",
-                                               n_unparseable=0))
+            rows["0-shot"] = (rep, dataclasses.replace(rep, train_source="Synthetic",
+                                                       n_unparseable=0))
             continue
-        for source, demo_corpus in (("Original", train), ("Synthetic", synthetic)):
-            reports.append(icl_evaluate(shots, demo_corpus, test, client=client,
-                                        seed=subseed(config.seed, "icl", shots, source),
-                                        workers=workers, demo_source=source,
-                                        config_fingerprint=fingerprint))
-    return reports
+        rows[f"{shots}-shot"] = tuple(
+            icl_evaluate(shots, demo_corpus, test, client=client,
+                         seed=subseed(config.seed, "icl", shots, source),
+                         workers=workers, demo_source=source, config_fingerprint=fingerprint)
+            for source, demo_corpus in (("Original", train), ("Synthetic", synthetic)))
+    return rows
 
 
 def cmd_evaluate(config: ExperimentConfig, synthetic_file: str | Path) -> RunManifest:
@@ -537,30 +540,34 @@ def cmd_evaluate(config: ExperimentConfig, synthetic_file: str | Path) -> RunMan
         ledger, known = _ledger_for_input(synthetic_file)
 
     fp = config.fingerprint()
-    reports: list[EvalReport] = []
+    classifiers: dict[str, tuple[EvalReport, EvalReport]] = {}
+    icl: dict[str, tuple[EvalReport, EvalReport]] = {}
     client = None
     for name in config.models:
         if name == "icl":
             continue
         with stage(f"train-{name}"):
-            for source, corpus in (("Original", train), ("Synthetic", synthetic)):
-                reports.append(_score(name, corpus, test, config.seed, source, fp))
+            classifiers[name] = tuple(
+                _score(name, corpus, test, config.seed, source, fp)
+                for source, corpus in (("Original", train), ("Synthetic", synthetic)))
     if "icl" in config.models:
         _external_data_note(config)
         with stage("icl"):
             client = _make_client(config)
-            reports.extend(_icl_reports(config, client, train, synthetic, test, fp))
+            icl = _icl_reports(config, client, train, synthetic, test, fp)
 
     with stage("report"):
-        classic = [r for r in reports if not r.model_tag.startswith("icl-")]
-        icl = [r for r in reports if r.model_tag.startswith("icl-")]
         sections = []
-        if classic:
-            sections.append(render_model_table(classic))
+        if classifiers:
+            sections.append(render_accuracy_table(classifiers, "Method", "Data"))
         if icl:
-            sections.append(render_icl_table(icl))
+            sections.append(render_accuracy_table(icl, "Shots", "Demos"))
+        unparsed = sum(r.n_unparseable for row in icl.values() for r in row)
+        if unparsed:
+            sections.append(f"Unparseable responses (scored incorrect): {unparsed}")
         markdown = "\n\n".join(sections) + "\n"
 
+        reports = [r for rows in (classifiers, icl) for row in rows.values() for r in row]
         json_path = _write_json(out_dir / "evaluation.json",
                                 [r.to_json_dict() for r in reports], sort_keys=False)
         md_path = out_dir / "evaluation.md"

@@ -111,7 +111,7 @@ class Corpus:
         return iter(self.records)
 
     @cached_property
-    def token_counts(self) -> TokenCounts:
+    def token_counts(self) -> CsrMatrix:
         """The record x token count arrays, built on first use and kept."""
         return count_tokens(self.records)
 
@@ -272,29 +272,56 @@ def tokenize(text: str) -> list[str]:
 
 
 @dataclass(frozen=True)
-class TokenCounts:
-    """Records x tokens int32 counts as the three numpy arrays of a CSR matrix.
+class CsrMatrix:
+    """A numpy matrix as the three arrays of a CSR matrix.
 
     Row i's sorted columns are ``indices[indptr[i]:indptr[i + 1]]`` and its
-    counts the same slice of ``data``; column j counts ``tokens[j]``, the
-    corpus's own tokens sorted lexicographically. Counting needs no scipy."""
+    values the same slice of ``data``. Token counts (``count_tokens``) are
+    int32 and carry ``tokens``: column j counts ``tokens[j]``, the corpus's
+    own tokens sorted lexicographically. Tf-idf features are float64 over a
+    model's vocabulary and carry none.
 
-    tokens: tuple[str, ...]
+    Every sum adds its stored entries in stored order with one
+    ``np.bincount``, which is the order scipy's CSR kernels add them in, so
+    a result is the same float either way. Only the SVM solver, which makes
+    many products per fit, converts to scipy."""
+
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+    shape: tuple[int, int]
+    tokens: tuple[str, ...] = ()
+
+    def row_ids(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
     def class_totals(self, label_ids: np.ndarray) -> np.ndarray:
-        """Occurrence totals per class, given the counted records' label ids
-        (``Corpus.label_ids``): one row per label in LABELS order, one column
-        per token."""
-        rows = np.repeat(label_ids, np.diff(self.indptr))
-        totals = np.zeros((len(LABELS), len(self.tokens)), dtype=np.int64)
-        np.add.at(totals, (rows, self.indices), self.data)
-        return totals
+        """Column sums per class, given each row's label id
+        (``Corpus.label_ids``): one row per label in LABELS order, in the
+        data's type widened to 64 bits."""
+        n_cols = self.shape[1]
+        cells = label_ids[self.row_ids()] * n_cols + self.indices
+        totals = np.bincount(cells, weights=self.data, minlength=len(LABELS) * n_cols)
+        return totals.reshape(len(LABELS), n_cols).astype(
+            np.promote_types(self.data.dtype, np.int64))
+
+    def __matmul__(self, dense: np.ndarray) -> np.ndarray:
+        """The dense (n_rows, k) product with a dense (n_cols, k) array."""
+        rows, n = self.row_ids(), self.shape[0]
+        out = np.empty((n, dense.shape[1]))
+        for k in range(dense.shape[1]):
+            out[:, k] = np.bincount(rows, weights=self.data * dense[self.indices, k],
+                                    minlength=n)
+        return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.row_ids(), self.indices] = self.data
+        return out
 
 
-def count_tokens(records: tuple[NewsRecord, ...]) -> TokenCounts:
+def count_tokens(records: tuple[NewsRecord, ...]) -> CsrMatrix:
     """Tokenize every title and description once and count per record.
 
     Each record's distinct tokens are stored in lexicographic order under ids
@@ -312,6 +339,7 @@ def count_tokens(records: tuple[NewsRecord, ...]) -> TokenCounts:
     tokens = tuple(sorted(ids))
     rank = np.empty(len(tokens), dtype=np.int32)
     rank[[ids[t] for t in tokens]] = np.arange(len(tokens), dtype=np.int32)
-    return TokenCounts(tokens=tokens, indptr=np.frombuffer(indptr, dtype=np.int64),
-                       indices=rank[np.frombuffer(cols, dtype=np.int32)],
-                       data=np.frombuffer(data, dtype=np.int32))
+    return CsrMatrix(indptr=np.frombuffer(indptr, dtype=np.int64),
+                     indices=rank[np.frombuffer(cols, dtype=np.int32)],
+                     data=np.frombuffer(data, dtype=np.int32),
+                     shape=(len(records), len(tokens)), tokens=tokens)

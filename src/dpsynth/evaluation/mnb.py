@@ -26,19 +26,10 @@ def train_mnb(train: Corpus, features: TfIdfModel, alpha: float = 1.0) -> Linear
         raise ValueError("alpha must be positive")
     X = transform_corpus(features, train)
     classes, y = classes_and_y(train)
-    n_classes = len(classes)
-    V = features.n_features
-
-    entry_class = np.repeat(y, np.diff(X.indptr))
-    log_prior = np.empty(n_classes)
-    log_prob = np.empty((n_classes, V))
-    for k in range(n_classes):
-        # The class's stored entries in row order, summed per column.
-        mine = entry_class == k
-        mass = np.bincount(X.indices[mine], weights=X.data[mine], minlength=V)
-        total = mass.sum()
-        log_prob[k] = np.log(mass + alpha) - np.log(total + alpha * V)
-        log_prior[k] = np.log(np.count_nonzero(y == k) / len(y))
+    mass = X.class_totals(train.label_ids)[classes]
+    log_prob = np.log(mass + alpha) - np.log(mass.sum(axis=1, keepdims=True)
+                                             + alpha * features.n_features)
+    log_prior = np.log(np.bincount(y) / len(y))
     return LinearModel(classes=classes, weights=log_prob, biases=log_prior, link=softmax)
 
 

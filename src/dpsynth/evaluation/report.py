@@ -81,57 +81,20 @@ def _pct(x: float) -> str:
     return f"{100.0 * x:.2f}"
 
 
-def render_model_table(reports: list[EvalReport]) -> str:
-    """Accuracy of each model trained on original vs synthetic data."""
-    by_tag: dict[str, dict[str, EvalReport]] = {}
-    order: list[str] = []
-    for rep in reports:
-        if rep.model_tag not in by_tag:
-            by_tag[rep.model_tag] = {}
-            order.append(rep.model_tag)
-        by_tag[rep.model_tag][rep.train_source] = rep
+def render_accuracy_table(rows: dict[str, tuple[EvalReport, EvalReport]], key: str,
+                          sources: str) -> str:
+    """Accuracy on original vs synthetic data, one line per row in insertion
+    order. A row is keyed by its model name (``key="Method"``,
+    ``sources="Data"``) or by its ICL shot count, as in ``"4-shot"``
+    (``key="Shots"``, ``sources="Demos"``), and holds the Original and the
+    Synthetic report, in that order."""
     lines = [
-        "| Method | Accuracy (Original Data) | Accuracy (Synthetic Data) |",
+        f"| {key} | Accuracy (Original {sources}) | Accuracy (Synthetic {sources}) |",
         "| --- | --- | --- |",
     ]
-    for tag in order:
-        row = by_tag[tag]
-        orig = _pct(row["Original"].accuracy) if "Original" in row else "-"
-        synth = _pct(row["Synthetic"].accuracy) if "Synthetic" in row else "-"
-        lines.append(f"| {tag} | {orig} | {synth} |")
+    for name, (original, synthetic) in rows.items():
+        lines.append(f"| {name} | {_pct(original.accuracy)} | {_pct(synthetic.accuracy)} |")
     return "\n".join(lines)
-
-
-def render_icl_table(reports: list[EvalReport]) -> str:
-    """Shot-count rows with original/synthetic demonstration columns."""
-    cells: dict[int, dict[str, EvalReport]] = {}
-    unparsed = 0
-    for rep in reports:
-        shots = rep_shots(rep)
-        cells.setdefault(shots, {})[rep.train_source] = rep
-        unparsed += rep.n_unparseable
-    lines = [
-        "| Shots | Accuracy (Original Demos) | Accuracy (Synthetic Demos) |",
-        "| --- | --- | --- |",
-    ]
-    for shots in sorted(cells):
-        row = cells[shots]
-        orig = _pct(row["Original"].accuracy) if "Original" in row else "-"
-        synth = _pct(row["Synthetic"].accuracy) if "Synthetic" in row else "-"
-        lines.append(f"| {shots}-shot | {orig} | {synth} |")
-    if unparsed:
-        lines.append("")
-        lines.append(f"Unparseable responses (scored incorrect): {unparsed}")
-    return "\n".join(lines)
-
-
-def rep_shots(report: EvalReport) -> int:
-    """Shot count encoded in an ICL model tag like ``icl-4shot``."""
-    tag = report.model_tag
-    try:
-        return int(tag.split("-")[1].replace("shot", ""))
-    except (IndexError, ValueError):
-        return -1
 
 
 def render_sweep_table(rows: list[dict]) -> str:

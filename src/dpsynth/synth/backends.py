@@ -107,8 +107,6 @@ class _Counted:
 class MockClient(_Counted):
     """Offline backend; see dpsynth.synth.mock for the content model."""
 
-    kind = "mock"
-
     def complete(self, prompt: str, *, temperature: float, top_p: float,
                  max_tokens: int, seed: int) -> str:
         self._count("mock_calls")
@@ -156,8 +154,6 @@ class HttpClient(_Counted):
     arrives whole. A 2xx body must carry the completion text at
     choices[0].message.content.
     """
-
-    kind = "http"
 
     def __init__(self, spec: BackendSpec, cache: ResponseCache | None = None,
                  transport=None, sleep=time.sleep):

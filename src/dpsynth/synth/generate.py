@@ -71,6 +71,10 @@ def _record_from_item(item) -> NewsRecord | None:
     if not isinstance(raw_label, str):
         return None
     try:
+        # A lone surrogate, which a JSON escape can carry, has no UTF-8 form
+        # and could not be written out.
+        title.encode("utf-8")
+        description.encode("utf-8")
         label = normalize_label(raw_label)
     except ValueError:
         return None

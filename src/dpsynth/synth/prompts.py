@@ -29,7 +29,6 @@ PROMPT_LABEL = {
 # demonstrations would be malformed.
 _DEMO_SECTION = "Here are some demonstrations:\n\n" + DEMOS_SLOT + "\n\n"
 
-GENERATION_HEAD = "Your task is to generate synthetic"
 CLASSIFICATION_HEAD = "You are a helpful assistant."
 
 

@@ -35,6 +35,7 @@ from dpsynth.cli import (
 )
 from dpsynth.corpus import LABELS, Corpus
 from dpsynth.dp import Mechanism
+from dpsynth.synth.backends import MockClient
 
 
 def write_config(tmp_path: Path, name: str = "config.json", **extra) -> Path:
@@ -611,6 +612,28 @@ def test_only_caught_exception_classes_are_defined():
         "cli.StageError", "synth.generate.AllRecordsMalformed"}
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # The project has no linter dependency, so a plain AST walk: an imported
+    # name must appear somewhere else in its module. evaluation/report.py's
+    # ``transform`` is used from outside, by perfbench/tracer.py, which
+    # counts calls through it.
+    import dpsynth
+
+    root = Path(dpsynth.__file__).resolve().parent
+    unused = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.relative_to(root).as_posix()}: {name}")
+    assert unused == ["evaluation/report.py: transform"]
+
+
 def test_every_source_directory_is_a_package():
     # setuptools' packages.find skips a directory without __init__.py, so
     # the wheel would leave it out while imports from src/ still work.
@@ -654,6 +677,21 @@ class TestCmdGenerate:
         fp_a = read_json(tmp_path / "a" / "manifest_generate.json")["config_fingerprint"]
         fp_b = read_json(tmp_path / "b" / "manifest_generate.json")["config_fingerprint"]
         assert fp_a == fp_b  # only the output location differs
+
+    def test_a_failed_write_leaves_no_partial_output(self, tmp_path, capsys, monkeypatch):
+        # The real writer, given one record it cannot encode after the good
+        # ones, fails partway through the file.
+        real_save = cli_module.save_jsonl
+
+        def save_then_fail(corpus, path):
+            bad = corpus_module.NewsRecord("Bad", "x \ud800", LABELS[0])
+            return real_save(Corpus(corpus.records + (bad,)), path)
+
+        monkeypatch.setattr(cli_module, "save_jsonl", save_then_fail)
+        path = write_config(tmp_path)
+        assert main(["generate", "--config", str(path)]) == 1
+        assert "error: stage 'write-output':" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_seed_changes_the_corpus(self, tmp_path):
         path = write_config(tmp_path, output_dir=str(tmp_path / "s1"))
@@ -721,6 +759,32 @@ class TestCmdEvaluate:
         assert "| Method | Accuracy (Original Data) | Accuracy (Synthetic Data) |" in md
         assert "| Shots | Accuracy (Original Demos) | Accuracy (Synthetic Demos) |" in md
         assert "| Method |" in capsys.readouterr().out
+
+    def test_icl_footer_counts_each_unparseable_answer_once(self, generated, monkeypatch):
+        # Every prompt of odd length gets an answer with no label. 0-shot
+        # is one run shown in both columns, so its answers count once.
+        class HalfAnswering(MockClient):
+            def __init__(self):
+                super().__init__()
+                self.unlabelled: list[str] = []
+
+            def complete(self, prompt, **kwargs):
+                if len(prompt) % 2:
+                    self.unlabelled.append(prompt)
+                    return "I cannot tell."
+                return super().complete(prompt, **kwargs)
+
+        client = HalfAnswering()
+        monkeypatch.setattr(cli_module, "_make_client", lambda config: client)
+        path, out = generated
+        assert main(["evaluate", "--config", str(path),
+                     "--synthetic", str(out / "synthetic.jsonl"),
+                     "--models", "icl", "--icl-shots", "0,2"]) == 0
+        zero_shot = [p for p in client.unlabelled if "demonstrations" not in p]
+        assert 0 < len(zero_shot) < len(client.unlabelled)
+        md = (out / "evaluation.md").read_text()
+        assert md.endswith(f"\n\nUnparseable responses (scored incorrect): "
+                           f"{len(client.unlabelled)}\n")
 
     def test_manifest_recovers_budget_from_sibling_generate(self, generated):
         path, out = generated

@@ -20,10 +20,8 @@ from dpsynth.evaluation.mnb import train_mnb
 from dpsynth.evaluation.report import (
     EvalReport,
     evaluate,
-    render_icl_table,
-    render_model_table,
+    render_accuracy_table,
     render_sweep_table,
-    rep_shots,
 )
 from dpsynth.evaluation.svm import train_svm
 from dpsynth.rngutil import make_rng, subseed
@@ -110,8 +108,8 @@ class TestTfIdf:
 
 
 class TestMatchesScipyCsr:
-    """The tf-idf matrix is numpy arrays; scoring, MNB training and row
-    selection must give scipy's CSR results to the last bit, so no report
+    """The tf-idf matrix is numpy arrays; scoring, MNB training and the
+    dense form must give scipy's CSR results to the last bit, so no report
     moves with the representation."""
 
     @pytest.fixture(scope="class")
@@ -143,11 +141,8 @@ class TestMatchesScipyCsr:
             expected = np.log(mass + alpha) - np.log(mass.sum() + alpha * V)
             assert np.array_equal(model.weights[k], expected)
 
-    def test_row_selection(self, fitted):
+    def test_toarray(self, fitted):
         _, _, X, reference = fitted
-        rows = np.sort(np.random.default_rng(4).choice(X.shape[0], 50, replace=False))
-        for picked in (rows, rows[::-1], np.array([], dtype=np.int64)):
-            assert np.array_equal(X[picked].toarray(), reference[picked].toarray())
         assert np.array_equal(X.toarray(), reference.toarray())
 
 
@@ -604,41 +599,25 @@ class TestReports:
             assert np.array_equal(predict(model, X), expected)
         assert predict(svm, X).tolist() == ids(*(r.label for r in corpus.records))
 
-    def report(self, tag, source, acc, unparseable=0):
+    def report(self, tag, source, acc):
         return EvalReport(
             model_tag=tag, train_source=source, accuracy=acc,
-            per_class_accuracy={}, n_test=100, n_unparseable=unparseable,
+            per_class_accuracy={}, n_test=100,
         )
 
     def test_model_table_rendering(self):
-        table = render_model_table([
-            self.report("mnb", "Original", 0.8073),
-            self.report("mnb", "Synthetic", 0.7126),
-            self.report("svm", "Original", 0.825),
-        ])
+        table = render_accuracy_table({
+            "mnb": (self.report("mnb", "Original", 0.8073),
+                    self.report("mnb", "Synthetic", 0.7126)),
+            "svm": (self.report("svm", "Original", 0.825),
+                    self.report("svm", "Synthetic", 0.5)),
+        }, "Method", "Data")
         assert table.splitlines() == [
             "| Method | Accuracy (Original Data) | Accuracy (Synthetic Data) |",
             "| --- | --- | --- |",
             "| mnb | 80.73 | 71.26 |",
-            "| svm | 82.50 | - |",
+            "| svm | 82.50 | 50.00 |",
         ]
-
-    def test_icl_table_rendering_with_unparseable_footer(self):
-        table = render_icl_table([
-            self.report("icl-0shot", "Original", 0.5),
-            self.report("icl-4shot", "Original", 0.75, unparseable=2),
-            self.report("icl-4shot", "Synthetic", 0.70, unparseable=1),
-        ])
-        lines = table.splitlines()
-        assert lines[0] == "| Shots | Accuracy (Original Demos) | Accuracy (Synthetic Demos) |"
-        assert "| 0-shot | 50.00 | - |" in lines
-        assert "| 4-shot | 75.00 | 70.00 |" in lines
-        assert lines[-1] == "Unparseable responses (scored incorrect): 3"
-
-    def test_rep_shots(self):
-        assert rep_shots(self.report("icl-4shot", "Original", 0.5)) == 4
-        assert rep_shots(self.report("icl-0shot", "Original", 0.5)) == 0
-        assert rep_shots(self.report("mnb", "Original", 0.5)) == -1
 
     def test_sweep_table_rendering(self):
         rows = [

@@ -66,7 +66,6 @@ from dpsynth.synth.mock import (
 )
 from dpsynth.synth.prompts import (
     CLASSIFICATION_HEAD,
-    GENERATION_HEAD,
     PROMPT_LABEL,
     build_classification_prompt,
     build_generation_prompt,
@@ -137,7 +136,6 @@ class TestPrompts:
         assert '"Sci/Tech"' in render_demo(sci)
 
     def test_prompt_heads(self):
-        assert build_generation_prompt(GENERATION_DEMOS, 3).startswith(GENERATION_HEAD)
         assert build_classification_prompt([], ICL_QUERY).startswith(CLASSIFICATION_HEAD)
 
     def test_query_is_rendered_without_label(self):
@@ -202,11 +200,15 @@ class TestParseSynthRecords:
                 {"Title": "Bad", "Description": "x", "Class_Label": "Weather"},
                 {"Title": "Bad", "Description": 7, "Class_Label": "World"},
                 "not an object",
+                # lone surrogates: valid JSON escapes with no UTF-8 form
+                {"Title": "Bad \ud800", "Description": "x", "Class_Label": "World"},
+                {"Title": "Bad", "Description": "x \udfff", "Class_Label": "World"},
             ]
         )
+        assert "\\ud800" in raw
         records, dropped = parse_synth_records(raw)
         assert [r.title for r in records] == ["Ok"]
-        assert dropped == 5
+        assert dropped == 7
 
     def test_not_json_raises(self):
         with pytest.raises(AllRecordsMalformed):
