@@ -237,54 +237,52 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     return _merge_config_values(file_values, overrides)
 
 
-# ---------------------------------------------------------------- manifest
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_fingerprint: str
-    config: dict
-    tool_version: str
-    started_at: str
-    finished_at: str
-    outputs: dict                      # artifact name -> path (str)
-    budget_ledger: dict
-    backend_stats: dict
-    notes: dict
-
+# ---------------------------------------------------------------- outputs
 
 def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _write_json(path: Path, obj, sort_keys: bool = True) -> Path:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n", encoding="utf-8")
-    return path
+def _json(obj, sort_keys: bool = True):
+    """A writer of ``obj`` as indented JSON to the path it is given."""
+    def write(path: Path) -> None:
+        path.write_text(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n", encoding="utf-8")
+    return write
 
 
-def _finish_manifest(
-    command: str,
-    config: ExperimentConfig,
-    started_at: str,
-    out_dir: Path,
-    outputs: dict,
-    ledger: BudgetLedger,
-    backend_stats: dict,
-    notes: dict,
-) -> RunManifest:
-    manifest = RunManifest(
-        command=command,
-        config_fingerprint=config.fingerprint(),
-        config=config.to_json_dict(),
-        tool_version=__version__,
-        started_at=started_at,
-        finished_at=_utc_now(),
-        outputs={name: str(p) for name, p in outputs.items()},
-        budget_ledger=ledger.to_json_dict(),
-        backend_stats=dict(backend_stats),
-        notes=notes,
-    )
-    _write_json(out_dir / f"manifest_{command}.json", dataclasses.asdict(manifest))
+def _write_outputs(command: str, config: ExperimentConfig, started_at: str, files: dict,
+                   ledger: BudgetLedger, backend_stats: dict, notes: dict) -> dict:
+    """Write a command's files into ``config.output_dir``, then its manifest.
+
+    ``files`` maps each output name to ``(file name, writer)``; a writer
+    takes the path to write. The old ``manifest_<command>.json`` goes first,
+    so no manifest names files of another run. If any write fails, every
+    path the command writes is removed, old or partial, and the error
+    propagates. Returns the manifest."""
+    out_dir = Path(config.output_dir)
+    manifest_path = out_dir / f"manifest_{command}.json"
+    paths = {name: out_dir / file_name for name, (file_name, _) in files.items()}
+    manifest_path.unlink(missing_ok=True)
+    try:
+        for name, (_, write) in files.items():
+            write(paths[name])
+        manifest = {
+            "command": command,
+            "config_fingerprint": config.fingerprint(),
+            "config": config.to_json_dict(),
+            "tool_version": __version__,
+            "started_at": started_at,
+            "finished_at": _utc_now(),
+            "outputs": {name: str(p) for name, p in paths.items()},
+            "budget_ledger": ledger.to_json_dict(),
+            "backend_stats": dict(backend_stats),
+            "notes": notes,
+        }
+        _json(manifest)(manifest_path)
+    except BaseException:
+        for p in (*paths.values(), manifest_path):
+            p.unlink(missing_ok=True)
+        raise
     return manifest
 
 
@@ -341,16 +339,15 @@ def _load_original(config: ExperimentConfig) -> tuple[Corpus, Corpus]:
         return sample_split(corpus, config.n_train, config.n_test, seed=config.seed)
 
 
-def _external_data_note(config: ExperimentConfig) -> None:
+def _make_client(config: ExperimentConfig):
+    """The configured backend client. The http backend's is announced on
+    stderr, because it sends original-data text to the endpoint."""
     if config.backend.kind == "http":
         print(
             "note: the http backend sends original-data text (demonstrations "
             "and/or queries) to the configured endpoint",
             file=sys.stderr,
         )
-
-
-def _make_client(config: ExperimentConfig):
     return make_backend(
         config.backend,
         cache_dir=config.cache_dir,
@@ -358,30 +355,33 @@ def _make_client(config: ExperimentConfig):
     )
 
 
-def _ledger_for_input(synthetic_file: str | Path) -> tuple[BudgetLedger, bool]:
-    """Recover the budget spent producing a synthetic file, if recorded.
+def _load_synthetic(path: str | Path) -> tuple[Corpus, BudgetLedger, dict]:
+    """A synthetic corpus, the budget spent producing it, and the manifest
+    notes on where it came from.
 
-    Reads manifest_generate.json next to the file. Returns an empty ledger
-    and a provenance-unknown flag when there is no such file; a manifest
-    that cannot be read as a ledger raises.
+    The budget is read from manifest_generate.json next to the file. With
+    no such file the ledger is empty and the notes flag the provenance as
+    unknown; a manifest that cannot be read as a ledger raises.
     """
-    sibling = Path(synthetic_file).parent / "manifest_generate.json"
-    try:
-        data = json.loads(sibling.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        return BudgetLedger(), False
-    entries = []
-    try:
-        for entry in data["budget_ledger"]["entries"]:
-            params = PrivacyParams(
-                epsilon=float(entry["epsilon"]),
-                delta=float(entry["delta"]),
-                mechanism=Mechanism(entry["mechanism"]),
-            )
-            entries.append((str(entry["label"]), params))
-    except KeyError as exc:
-        raise ValueError(f"{sibling} has no key {exc.args[0]!r}") from None
-    return BudgetLedger(entries=tuple(entries)), True
+    with stage("load-synthetic"):
+        corpus = load_agnews(path, CorpusFormat.JSONL)
+        sibling = Path(path).parent / "manifest_generate.json"
+        known = sibling.exists()
+        entries = []
+        if known:
+            data = json.loads(sibling.read_text(encoding="utf-8"))
+            try:
+                for entry in data["budget_ledger"]["entries"]:
+                    params = PrivacyParams(
+                        epsilon=float(entry["epsilon"]),
+                        delta=float(entry["delta"]),
+                        mechanism=Mechanism(entry["mechanism"]),
+                    )
+                    entries.append((str(entry["label"]), params))
+            except KeyError as exc:
+                raise ValueError(f"{sibling} has no key {exc.args[0]!r}") from None
+    notes = {"synthetic_file": str(path), "synthetic_provenance_known": known}
+    return corpus, BudgetLedger(entries=tuple(entries)), notes
 
 
 # ---------------------------------------------------------------- release
@@ -415,7 +415,7 @@ def _release(config: ExperimentConfig, raw: Corpus, hist: TokenHistogram,
 
 # ---------------------------------------------------------------- generate
 
-def cmd_generate(config: ExperimentConfig) -> RunManifest:
+def cmd_generate(config: ExperimentConfig) -> dict:
     """Produce a reconciled synthetic corpus under one epsilon release."""
     started_at = _utc_now()
     with stage("config"):
@@ -424,8 +424,6 @@ def cmd_generate(config: ExperimentConfig) -> RunManifest:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     train, _test = _load_original(config)
-
-    _external_data_note(config)
 
     with stage("generate-records"):
         client = _make_client(config)
@@ -440,35 +438,16 @@ def cmd_generate(config: ExperimentConfig) -> RunManifest:
     synthetic, noisy = _release(config, raw, hist, config.epsilon, config.seed)
     ledger = charge(BudgetLedger(), f"release-eps{config.epsilon}", noisy.params)
 
-    created: list[Path] = []
     with stage("write-output"):
-        try:
-            # Each path is registered before its write, so one that fails
-            # partway is removed with the rest.
-            jsonl_path = out_dir / "synthetic.jsonl"
-            created.append(jsonl_path)
-            save_jsonl(synthetic, jsonl_path)
-            hist_path = out_dir / "histogram_noisy.json"
-            created.append(hist_path)
-            _write_json(hist_path, noisy.to_json_dict())
-            manifest = _finish_manifest(
-                "generate", config, started_at, out_dir,
-                outputs={"synthetic": jsonl_path, "noisy_histogram": hist_path},
-                ledger=ledger,
-                backend_stats=client.stats,
-                notes={
-                    "epsilon_requested": config.epsilon,
-                    "epsilon_used": eps_used,
-                    "epsilon_floored": floored,
-                    "n_records": len(synthetic.records),
-                },
-            )
-        except BaseException:
-            for p in created:
-                p.unlink(missing_ok=True)
-            raise
+        manifest = _write_outputs(
+            "generate", config, started_at,
+            {"synthetic": ("synthetic.jsonl", lambda p: save_jsonl(synthetic, p)),
+             "noisy_histogram": ("histogram_noisy.json", _json(noisy.to_json_dict()))},
+            ledger, client.stats,
+            {"epsilon_requested": config.epsilon, "epsilon_used": eps_used,
+             "epsilon_floored": floored, "n_records": len(synthetic.records)})
 
-    print(f"wrote {len(synthetic.records)} synthetic records to {jsonl_path}")
+    print(f"wrote {len(synthetic.records)} synthetic records to {out_dir / 'synthetic.jsonl'}")
     print(f"manifest: {out_dir / 'manifest_generate.json'}")
     return manifest
 
@@ -524,7 +503,7 @@ def _icl_reports(
     return rows
 
 
-def cmd_evaluate(config: ExperimentConfig, synthetic_file: str | Path) -> RunManifest:
+def cmd_evaluate(config: ExperimentConfig, synthetic_file: str | Path) -> dict:
     """Train requested models on original and synthetic data, score both on
     the same held-out original test split."""
     started_at = _utc_now()
@@ -535,9 +514,7 @@ def cmd_evaluate(config: ExperimentConfig, synthetic_file: str | Path) -> RunMan
         out_dir.mkdir(parents=True, exist_ok=True)
 
     train, test = _load_original(config)
-    with stage("load-synthetic"):
-        synthetic = load_agnews(synthetic_file, CorpusFormat.JSONL)
-        ledger, known = _ledger_for_input(synthetic_file)
+    synthetic, ledger, notes = _load_synthetic(synthetic_file)
 
     fp = config.fingerprint()
     classifiers: dict[str, tuple[EvalReport, EvalReport]] = {}
@@ -551,7 +528,6 @@ def cmd_evaluate(config: ExperimentConfig, synthetic_file: str | Path) -> RunMan
                 _score(name, corpus, test, config.seed, source, fp)
                 for source, corpus in (("Original", train), ("Synthetic", synthetic)))
     if "icl" in config.models:
-        _external_data_note(config)
         with stage("icl"):
             client = _make_client(config)
             icl = _icl_reports(config, client, train, synthetic, test, fp)
@@ -568,19 +544,13 @@ def cmd_evaluate(config: ExperimentConfig, synthetic_file: str | Path) -> RunMan
         markdown = "\n\n".join(sections) + "\n"
 
         reports = [r for rows in (classifiers, icl) for row in rows.values() for r in row]
-        json_path = _write_json(out_dir / "evaluation.json",
-                                [r.to_json_dict() for r in reports], sort_keys=False)
-        md_path = out_dir / "evaluation.md"
-        md_path.write_text(markdown, encoding="utf-8")
-
-        manifest = _finish_manifest(
-            "evaluate", config, started_at, out_dir,
-            outputs={"reports_json": json_path, "reports_markdown": md_path},
-            ledger=ledger,
-            backend_stats=client.stats if client is not None else {},
-            notes={"synthetic_file": str(synthetic_file),
-                   "synthetic_provenance_known": known},
-        )
+        manifest = _write_outputs(
+            "evaluate", config, started_at,
+            {"reports_json": ("evaluation.json",
+                              _json([r.to_json_dict() for r in reports], sort_keys=False)),
+             "reports_markdown": ("evaluation.md",
+                                  lambda p: p.write_text(markdown, encoding="utf-8"))},
+            ledger, client.stats if client is not None else {}, notes)
 
     print(markdown, end="")
     print(f"manifest: {out_dir / 'manifest_evaluate.json'}")
@@ -589,7 +559,7 @@ def cmd_evaluate(config: ExperimentConfig, synthetic_file: str | Path) -> RunMan
 
 # ---------------------------------------------------------------- sweep
 
-def cmd_sweep(config: ExperimentConfig) -> RunManifest:
+def cmd_sweep(config: ExperimentConfig) -> dict:
     """Accuracy across the epsilon list, optionally averaged over seeds.
 
     Per seed, one base corpus is generated and every epsilon re-noises the
@@ -608,21 +578,18 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     train, test = _load_original(config)
-    _external_data_note(config)
 
     with stage("generate-records"):
         client = _make_client(config)
     ledger = BudgetLedger()
     # accuracies[(model, requested_eps)] -> one value per seed
     accuracies: dict[tuple[str, float], list[float]] = {}
-    eps_used_by: dict[float, tuple[float, bool]] = {}
 
     for rep in range(config.sweep_seeds):
         rep_seed = config.seed + rep
         raw, hist = _synthesize(config, train, client, rep_seed)
 
         for requested in config.epsilons:
-            eps_used_by[requested] = config.resolve_epsilon(requested)
             synthetic, noisy = _release(config, raw, hist, requested, rep_seed,
                                         repr(requested))
             ledger = charge(ledger, f"seed{rep_seed}-eps{requested}", noisy.params)
@@ -643,7 +610,7 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
     with stage("report"):
         rows = []
         for requested in config.epsilons:
-            eps_used, floored = eps_used_by[requested]
+            eps_used, floored = config.resolve_epsilon(requested)
             for name in config.models:
                 vals = accuracies[(name, requested)]
                 mean = float(np.mean(vals))
@@ -660,16 +627,11 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
                 })
         markdown = render_sweep_table(rows) + "\n"
 
-        json_path = _write_json(out_dir / "sweep.json", rows, sort_keys=False)
-        md_path = out_dir / "sweep.md"
-        md_path.write_text(markdown, encoding="utf-8")
-        manifest = _finish_manifest(
-            "sweep", config, started_at, out_dir,
-            outputs={"sweep_json": json_path, "sweep_markdown": md_path},
-            ledger=ledger,
-            backend_stats=client.stats,
-            notes={"n_seeds": config.sweep_seeds},
-        )
+        manifest = _write_outputs(
+            "sweep", config, started_at,
+            {"sweep_json": ("sweep.json", _json(rows, sort_keys=False)),
+             "sweep_markdown": ("sweep.md", lambda p: p.write_text(markdown, encoding="utf-8"))},
+            ledger, client.stats, {"n_seeds": config.sweep_seeds})
 
     print(markdown, end="")
     print(f"manifest: {out_dir / 'manifest_sweep.json'}")
@@ -678,7 +640,7 @@ def cmd_sweep(config: ExperimentConfig) -> RunManifest:
 
 # ---------------------------------------------------------------- audit
 
-def cmd_audit(config: ExperimentConfig, synthetic_file: str | Path) -> RunManifest:
+def cmd_audit(config: ExperimentConfig, synthetic_file: str | Path) -> dict:
     """Membership-inference advantage, original-trained vs synthetic-trained.
 
     Members are the original training records, non-members the held-out
@@ -690,9 +652,7 @@ def cmd_audit(config: ExperimentConfig, synthetic_file: str | Path) -> RunManife
         out_dir.mkdir(parents=True, exist_ok=True)
 
     train, test = _load_original(config)
-    with stage("load-synthetic"):
-        synthetic = load_agnews(synthetic_file, CorpusFormat.JSONL)
-        ledger, known = _ledger_for_input(synthetic_file)
+    synthetic, ledger, notes = _load_synthetic(synthetic_file)
 
     with stage("train-models"):
         features_orig, model_orig = _fit("mnb", train)
@@ -709,15 +669,10 @@ def cmd_audit(config: ExperimentConfig, synthetic_file: str | Path) -> RunManife
         report = compare_leakage(baseline, private)
 
     with stage("report"):
-        json_path = _write_json(out_dir / "audit.json", report.to_json_dict())
-        manifest = _finish_manifest(
-            "audit", config, started_at, out_dir,
-            outputs={"audit_json": json_path},
-            ledger=ledger,
-            backend_stats={},
-            notes={"synthetic_file": str(synthetic_file),
-                   "synthetic_provenance_known": known},
-        )
+        manifest = _write_outputs(
+            "audit", config, started_at,
+            {"audit_json": ("audit.json", _json(report.to_json_dict()))},
+            ledger, {}, notes)
 
     print(f"baseline advantage {baseline.advantage:.4f} (auc {baseline.auc:.4f}); "
           f"synthetic advantage {private.advantage:.4f} (auc {private.auc:.4f})")

@@ -122,15 +122,15 @@ def _fit_ovr(X: sparse.csr_matrix, y: np.ndarray, n_classes: int,
     )
 
 
-def _split_validation(y: np.ndarray, n_classes: int, val_fraction: float,
+def _split_validation(y: np.ndarray, n_classes: int,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class proportional holdout; returns (train_idx, val_idx)."""
+    """Per-class holdout of DEFAULT_VAL_FRACTION; returns (train_idx, val_idx)."""
     train_idx: list[int] = []
     val_idx: list[int] = []
     for k in range(n_classes):
         rows = np.flatnonzero(y == k)
         perm = rng.permutation(len(rows))
-        n_val = int(np.floor(len(rows) * val_fraction))
+        n_val = int(np.floor(len(rows) * DEFAULT_VAL_FRACTION))
         if len(rows) > 1:
             n_val = min(max(n_val, 1), len(rows) - 1)
         else:
@@ -144,7 +144,6 @@ def train_svm(
     train: Corpus,
     features: TfIdfModel,
     c_grid=DEFAULT_C_GRID,
-    val_fraction: float = DEFAULT_VAL_FRACTION,
     seed: int = 0,
 ) -> LinearModel:
     """Grid-selected one-vs-rest linear SVM.
@@ -158,8 +157,6 @@ def train_svm(
     classes, y = classes_and_y(train)
     if len(classes) < 2:
         raise ValueError("SVM training needs at least two classes")
-    if not (0 < val_fraction < 1):
-        raise ValueError("val_fraction must be in (0, 1)")
     c_grid = tuple(sorted(float(c) for c in c_grid))
     if not c_grid or any(c <= 0 for c in c_grid):
         raise ValueError("C grid must hold positive values")
@@ -175,7 +172,7 @@ def train_svm(
     best_acc = -1.0
     if len(c_grid) > 1:
         rng = make_rng(subseed(seed, "svm-val-split"))
-        tr_idx, val_idx = _split_validation(y, n_classes, val_fraction, rng)
+        tr_idx, val_idx = _split_validation(y, n_classes, rng)
         X_tr, y_tr = X[tr_idx], y[tr_idx]
         X_val, y_val = X[val_idx], y[val_idx]
         for c_value in c_grid:  # ascending, so strict > keeps the smaller C on ties

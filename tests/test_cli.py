@@ -36,6 +36,7 @@ from dpsynth.cli import (
 from dpsynth.corpus import LABELS, Corpus
 from dpsynth.dp import Mechanism
 from dpsynth.synth.backends import MockClient
+from dpsynth.synth.prompts import CLASSIFICATION_HEAD
 
 
 def write_config(tmp_path: Path, name: str = "config.json", **extra) -> Path:
@@ -551,6 +552,48 @@ def test_traced_generate_writes_the_untraced_outputs(tmp_path):
     assert "synth.reconcile.insertions" in counts
 
 
+def test_each_command_runs_its_stages_in_order(tmp_path, monkeypatch):
+    # The benchmark reports one cli.stage.<name>_s metric per name in
+    # perfbench/run.py's STAGES; a stage renamed, dropped or moved when
+    # command code is restructured would silently empty or shift them.
+    import dpsynth
+
+    run_py = Path(dpsynth.__file__).resolve().parents[2] / "perfbench" / "run.py"
+    benchmarked = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(run_py.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["STAGES"])
+    names: list[str] = []
+    real = cli_module.stage
+
+    @contextmanager
+    def recording(name):
+        names.append(name)
+        with real(name):
+            yield
+
+    monkeypatch.setattr(cli_module, "stage", recording)
+    path = write_config(tmp_path)
+    synthetic = str(tmp_path / "out" / "synthetic.jsonl")
+    release = ["dp-noise", "reconcile"]
+    expected = {
+        ("generate",): ["generate-records", "generate-records", "histogram", *release,
+                        "write-output"],
+        ("evaluate", "--synthetic", synthetic, "--models", "mnb,svm,icl"):
+            ["load-synthetic", "train-mnb", "train-svm", "icl", "report"],
+        ("sweep", "--epsilons", "0,1", "--models", "mnb"):
+            ["generate-records", "generate-records", "histogram",
+             *release, "evaluate-mnb", *release, "evaluate-mnb", "report"],
+        ("audit", "--synthetic", synthetic): ["load-synthetic", "train-models", "mia", "report"],
+    }
+    for argv, stages in expected.items():
+        names.clear()
+        assert main([*argv, "--config", str(path)]) == 0
+        assert names == ["config", "config", "load-dataset", "split", *stages], argv
+        assert set(names) <= set(benchmarked), argv
+
+
 def test_python_m_dpsynth_cli_runs_the_command(tmp_path):
     import dpsynth
 
@@ -678,7 +721,8 @@ class TestCmdGenerate:
         fp_b = read_json(tmp_path / "b" / "manifest_generate.json")["config_fingerprint"]
         assert fp_a == fp_b  # only the output location differs
 
-    def test_a_failed_write_leaves_no_partial_output(self, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def fail_partway(monkeypatch):
         # The real writer, given one record it cannot encode after the good
         # ones, fails partway through the file.
         real_save = cli_module.save_jsonl
@@ -688,10 +732,27 @@ class TestCmdGenerate:
             return real_save(Corpus(corpus.records + (bad,)), path)
 
         monkeypatch.setattr(cli_module, "save_jsonl", save_then_fail)
+
+    def test_a_failed_write_leaves_no_partial_output(self, tmp_path, capsys, monkeypatch):
+        self.fail_partway(monkeypatch)
         path = write_config(tmp_path)
         assert main(["generate", "--config", str(path)]) == 1
         assert "error: stage 'write-output':" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_a_failed_rerun_leaves_none_of_the_earlier_outputs(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # What is left of an earlier run in --out cannot be told from the
+        # failed run's outputs, so none of it may remain, above all no
+        # manifest naming files that are gone.
+        path = write_config(tmp_path)
+        assert main(["generate", "--config", str(path)]) == 0
+        self.fail_partway(monkeypatch)
+        capsys.readouterr()
+        assert main(["generate", "--config", str(path), "--seed", "5"]) == 1
+        assert "error: stage 'write-output':" in capsys.readouterr().err
+        for artifact in ("manifest_generate.json", "synthetic.jsonl", "histogram_noisy.json"):
+            assert not (tmp_path / "out" / artifact).exists(), artifact
 
     def test_seed_changes_the_corpus(self, tmp_path):
         path = write_config(tmp_path, output_dir=str(tmp_path / "s1"))
@@ -807,6 +868,28 @@ class TestCmdEvaluate:
         assert manifest["notes"]["synthetic_provenance_known"] is False
         assert manifest["budget_ledger"]["entries"] == []
 
+    def test_a_failed_report_write_leaves_no_report_and_no_manifest(self, generated, capsys,
+                                                                     monkeypatch):
+        path, out = generated
+        argv = ["evaluate", "--config", str(path),
+                "--synthetic", str(out / "synthetic.jsonl"), "--models", "mnb"]
+        assert main(argv) == 0
+        real_write = Path.write_text
+
+        def write_then_fail(self, data, *args, **kwargs):
+            if self.name != "evaluation.md":
+                return real_write(self, data, *args, **kwargs)
+            real_write(self, data[:10], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_then_fail)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: stage 'report': disk full\n"
+        for artifact in ("evaluation.json", "evaluation.md", "manifest_evaluate.json"):
+            assert not (out / artifact).exists(), artifact
+        assert (out / "manifest_generate.json").exists()
+
     def test_no_models_is_an_error(self, generated, tmp_path, capsys):
         path, out = generated
         empty = write_config(tmp_path, name="empty-models.json", models=[])
@@ -861,6 +944,36 @@ class TestCmdSweep:
             assert row["n_seeds"] == 2
             assert len(row["accuracies"]) == 2
             assert row["accuracy_sd"] >= 0.0
+
+    def test_icl_rows_ask_one_query_per_test_record_and_epsilon(self, tmp_path, monkeypatch):
+        class Counting(MockClient):
+            def __init__(self):
+                super().__init__()
+                self.queries: list[str] = []
+
+            def complete(self, prompt, **kwargs):
+                if prompt.startswith(CLASSIFICATION_HEAD):
+                    self.queries.append(prompt)
+                return super().complete(prompt, **kwargs)
+
+        clients: list[Counting] = []
+
+        def make_client(config):
+            clients.append(Counting())
+            return clients[-1]
+
+        monkeypatch.setattr(cli_module, "_make_client", make_client)
+        path = write_config(tmp_path)
+        for out in ("a", "b"):
+            assert main(["sweep", "--config", str(path), "--epsilons", "0,1",
+                         "--models", "icl,mnb", "--out", str(tmp_path / out)]) == 0
+        rows = read_json(tmp_path / "a" / "sweep.json")
+        assert [(r["model"], r["epsilon_requested"]) for r in rows] == [
+            ("icl", 0.0), ("mnb", 0.0), ("icl", 1.0), ("mnb", 1.0)]
+        n_test, n_epsilons = 8, 2  # one 4-shot query per test record and epsilon
+        assert [len(c.queries) for c in clients] == [n_test * n_epsilons] * 2
+        assert (tmp_path / "a" / "sweep.json").read_bytes() == \
+            (tmp_path / "b" / "sweep.json").read_bytes()
 
     def test_single_epsilon_is_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -1214,9 +1327,10 @@ class TestProgrammaticGenerate:
             "output_dir": str(tmp_path / "prog"),
         })
         manifest = cmd_generate(config)
-        assert manifest.command == "generate"
-        assert manifest.config_fingerprint == config.fingerprint()
-        assert Path(manifest.outputs["synthetic"]).exists()
+        assert manifest["command"] == "generate"
+        assert manifest["config_fingerprint"] == config.fingerprint()
+        assert Path(manifest["outputs"]["synthetic"]).exists()
+        assert manifest == read_json(tmp_path / "prog" / "manifest_generate.json")
 
 
 # ---------------------------------------------------------------- tokenize once

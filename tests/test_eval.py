@@ -377,8 +377,6 @@ class TestSvm:
         with pytest.raises(ValueError, match="^SVM training needs at least two classes$"):
             train_svm(single, fit_tfidf(single))
         with pytest.raises(ValueError):
-            train_svm(corpus, features, val_fraction=0.0)
-        with pytest.raises(ValueError):
             train_svm(corpus, features, c_grid=())
         with pytest.raises(ValueError):
             train_svm(corpus, features, c_grid=(0.0, 1.0))
