@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corpus import Corpus, CorpusFormat, load_agnews, sample_split, save_jsonl
+from .corpus import Corpus, load_agnews, sample_split, save_jsonl
 from .dp import (
     DEFAULT_SENSITIVITY,
     BudgetLedger,
@@ -307,16 +307,6 @@ def stage(name: str):
         raise StageError(name, exc) from exc
 
 
-def _infer_format(path: Path) -> CorpusFormat:
-    suffix = path.suffix.lower()
-    if suffix == ".csv":
-        return CorpusFormat.CSV
-    if suffix == ".jsonl":
-        return CorpusFormat.JSONL
-    raise ValueError(f"cannot infer dataset format from {path.name!r}; "
-                     "name the file *.csv or *.jsonl")
-
-
 def _load_original(config: ExperimentConfig) -> tuple[Corpus, Corpus]:
     """Original data as a stratified (train, test) pair."""
     with stage("load-dataset"):
@@ -333,8 +323,7 @@ def _load_original(config: ExperimentConfig) -> tuple[Corpus, Corpus]:
                     f"mock:<N> needs N to be a positive multiple of 4, got {value!r}")
             corpus = mock_original_corpus(n // 4, seed=config.seed)
         else:
-            path = Path(config.dataset_path)
-            corpus = load_agnews(path, _infer_format(path))
+            corpus = load_agnews(config.dataset_path)
     with stage("split"):
         return sample_split(corpus, config.n_train, config.n_test, seed=config.seed)
 
@@ -359,19 +348,21 @@ def _load_synthetic(path: str | Path) -> tuple[Corpus, BudgetLedger, dict]:
     """A synthetic corpus, the budget spent producing it, and the manifest
     notes on where it came from.
 
-    The budget is read from manifest_generate.json next to the file. With
-    no such file the ledger is empty and the notes flag the provenance as
-    unknown; a manifest that cannot be read as a ledger raises.
+    The budget is read from manifest_generate.json next to the file, when
+    that manifest's synthetic output has the file's name. Otherwise the
+    ledger is empty and the notes flag the provenance as unknown; a
+    manifest that cannot be read as outputs and a ledger raises.
     """
     with stage("load-synthetic"):
-        corpus = load_agnews(path, CorpusFormat.JSONL)
+        corpus = load_agnews(path)
         sibling = Path(path).parent / "manifest_generate.json"
-        known = sibling.exists()
+        known = False
         entries = []
-        if known:
+        if sibling.exists():
             data = json.loads(sibling.read_text(encoding="utf-8"))
             try:
-                for entry in data["budget_ledger"]["entries"]:
+                known = Path(data["outputs"]["synthetic"]).name == Path(path).name
+                for entry in data["budget_ledger"]["entries"] if known else ():
                     params = PrivacyParams(
                         epsilon=float(entry["epsilon"]),
                         delta=float(entry["delta"]),

@@ -62,11 +62,6 @@ _LABEL_ALIASES = {
 }
 
 
-class CorpusFormat(Enum):
-    CSV = "csv"
-    JSONL = "jsonl"
-
-
 def normalize_label(raw: str) -> ClassLabel:
     """Map a raw label string to a ClassLabel.
 
@@ -82,17 +77,27 @@ def normalize_label(raw: str) -> ClassLabel:
 
 @dataclass(frozen=True)
 class NewsRecord:
-    """One labeled news item. Title and description must survive trimming."""
+    """One labeled news item: the one check on a record's text, whichever
+    source it came from. Title and description must be strings that survive
+    trimming and have a UTF-8 form (a JSON escape can carry a lone
+    surrogate, which has none)."""
 
     title: str
     description: str
     label: ClassLabel
 
     def __post_init__(self):
-        if not isinstance(self.title, str) or not self.title.strip():
-            raise ValueError("title must be a non-empty string")
-        if not isinstance(self.description, str) or not self.description.strip():
-            raise ValueError("description must be a non-empty string")
+        for name in ("title", "description"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string")
+            if not value.strip():
+                raise ValueError(f"empty {name}")
+            if not value.isascii():  # ASCII text always has a UTF-8 form
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise ValueError(f"{name} has no UTF-8 form: {exc.reason}") from None
 
 
 @dataclass(frozen=True)
@@ -125,80 +130,61 @@ class Corpus:
 
 # ---------------------------------------------------------------- loading
 
-def _coerce_format(fmt: CorpusFormat | str) -> CorpusFormat:
-    if isinstance(fmt, CorpusFormat):
-        return fmt
-    try:
-        return CorpusFormat(str(fmt).strip().lower())
-    except ValueError:
-        raise ValueError(f"unknown corpus format: {fmt!r}") from None
+def load_agnews(path: str | Path) -> Corpus:
+    """Load a labeled news file into a Corpus; its suffix names the format.
 
-
-def load_agnews(path: str | Path, fmt: CorpusFormat | str = CorpusFormat.CSV) -> Corpus:
-    """Load a labeled news file into a Corpus.
-
-    CSV rows are (class index 1..4, title, description), no header, fields
-    double-quoted with embedded quotes doubled. JSONL rows are objects with
-    exactly the keys Title, Description, Class_Label (extra keys ignored).
-    Raises ValueError, naming the 1-based row when one is at fault.
+    ``*.csv`` rows are (class index 1..4, title, description), no header,
+    fields double-quoted with embedded quotes doubled. ``*.jsonl`` rows are
+    objects with the keys Title, Description, Class_Label (extra keys
+    ignored). Blank lines are skipped. Raises ValueError for any other
+    suffix, and for a faulty row with its 1-based number.
     """
-    fmt = _coerce_format(fmt)
     path = Path(path)
+    suffix = path.suffix.lower()
+    if suffix not in (".csv", ".jsonl"):
+        raise ValueError(f"cannot tell the format of {path.name!r}; "
+                         "name the file *.csv or *.jsonl")
     records: list[NewsRecord] = []
     with path.open("r", encoding="utf-8", newline="") as fh:
-        if fmt is CorpusFormat.CSV:
-            for i, row in enumerate(csv.reader(fh), start=1):
-                if not row:
-                    continue  # blank line
-                records.append(_record_from_csv_row(i, row))
+        if suffix == ".csv":
+            rows, parse = csv.reader(fh), _record_from_csv_row
         else:
-            for i, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                records.append(_record_from_jsonl_line(i, line))
+            # A blank line becomes "", as csv.reader makes it [].
+            rows, parse = (line.strip() and line for line in fh), _record_from_jsonl_line
+        for i, row in enumerate(rows, start=1):
+            if not row:
+                continue
+            try:
+                records.append(parse(row))
+            except ValueError as exc:
+                raise ValueError(f"row {i}: {exc}") from None
     if not records:
         raise ValueError(f"no records in {path}")
     return Corpus(tuple(records))
 
 
-def _record_from_csv_row(index: int, row: list[str]) -> NewsRecord:
+def _record_from_csv_row(row: list[str]) -> NewsRecord:
     if len(row) != 3:
-        raise ValueError(f"row {index}: expected 3 columns, found {len(row)}")
+        raise ValueError(f"expected 3 columns, found {len(row)}")
     raw_idx, title, description = row
     try:
-        class_idx = int(raw_idx.strip())
-    except ValueError:
-        raise ValueError(f"row {index}: unknown class label: {raw_idx!r}") from None
-    if class_idx not in _CSV_INDEX_TO_LABEL:
-        raise ValueError(f"row {index}: unknown class label: {raw_idx.strip()!r}")
-    if not title.strip():
-        raise ValueError(f"row {index}: empty title")
-    if not description.strip():
-        raise ValueError(f"row {index}: empty description")
-    return NewsRecord(title, description, _CSV_INDEX_TO_LABEL[class_idx])
+        label = _CSV_INDEX_TO_LABEL[int(raw_idx)]
+    except (ValueError, KeyError):
+        raise ValueError(f"unknown class label: {raw_idx.strip()!r}") from None
+    return NewsRecord(title, description, label)
 
 
-def _record_from_jsonl_line(index: int, line: str) -> NewsRecord:
+def _record_from_jsonl_line(line: str) -> NewsRecord:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"row {index}: invalid JSON: {exc.msg}") from None
+        raise ValueError(f"invalid JSON: {exc.msg}") from None
     if not isinstance(obj, dict):
-        raise ValueError(f"row {index}: line is not a JSON object")
+        raise ValueError("line is not a JSON object")
     for key in ("Title", "Description", "Class_Label"):
         if key not in obj:
-            raise ValueError(f"row {index}: missing key {key}")
-        if not isinstance(obj[key], str):
-            raise ValueError(f"row {index}: key {key} must be a string")
-    if not obj["Title"].strip():
-        raise ValueError(f"row {index}: empty title")
-    if not obj["Description"].strip():
-        raise ValueError(f"row {index}: empty description")
-    try:
-        label = normalize_label(obj["Class_Label"])
-    except ValueError as exc:
-        raise ValueError(f"row {index}: {exc}") from None
-    return NewsRecord(obj["Title"], obj["Description"], label)
+            raise ValueError(f"missing key {key}")
+    return NewsRecord(obj["Title"], obj["Description"], normalize_label(obj["Class_Label"]))
 
 
 def save_jsonl(corpus: Corpus, path: str | Path) -> Path:

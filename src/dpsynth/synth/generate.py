@@ -58,27 +58,17 @@ def _normalize_keys(item: dict) -> dict:
 
 
 def _record_from_item(item) -> NewsRecord | None:
+    """The item as a record with its text trimmed, or None when it is not a
+    valid record."""
     if not isinstance(item, dict):
         return None
     fields = _normalize_keys(item)
-    title = fields.get("title")
-    description = fields.get("description")
-    raw_label = fields.get("class_label")
-    if not isinstance(title, str) or not title.strip():
-        return None
-    if not isinstance(description, str) or not description.strip():
-        return None
-    if not isinstance(raw_label, str):
-        return None
     try:
-        # A lone surrogate, which a JSON escape can carry, has no UTF-8 form
-        # and could not be written out.
-        title.encode("utf-8")
-        description.encode("utf-8")
-        label = normalize_label(raw_label)
+        rec = NewsRecord(fields.get("title"), fields.get("description"),
+                         normalize_label(fields.get("class_label")))
     except ValueError:
         return None
-    return NewsRecord(title.strip(), description.strip(), label)
+    return NewsRecord(rec.title.strip(), rec.description.strip(), rec.label)
 
 
 def parse_synth_records(raw: str) -> tuple[list[NewsRecord], int]:

@@ -31,18 +31,10 @@ _DEMO_SECTION = "Here are some demonstrations:\n\n" + DEMOS_SLOT + "\n\n"
 
 CLASSIFICATION_HEAD = "You are a helpful assistant."
 
-
-def _load_template(name: str) -> str:
-    text = (resources.files("dpsynth") / "templates" / name).read_text(encoding="utf-8")
-    return text.rstrip("\n")
-
-
-def generation_template() -> str:
-    return _load_template("generation.txt")
-
-
-def classification_template() -> str:
-    return _load_template("classification.txt")
+# Read once, at import. A file's trailing newline is not part of its prompt.
+GENERATION_TEMPLATE, CLASSIFICATION_TEMPLATE = (
+    (resources.files("dpsynth") / "templates" / name).read_text(encoding="utf-8").rstrip("\n")
+    for name in ("generation.txt", "classification.txt"))
 
 
 def render_demo(record: NewsRecord) -> str:
@@ -72,15 +64,14 @@ def build_generation_prompt(demos, n: int) -> str:
         missing = [label.display for label in LABELS if label not in present]
         if missing:
             raise ValueError(f"no demonstration for: {', '.join(missing)}")
-    prompt = generation_template()
-    prompt = prompt.replace(DEMOS_SLOT, render_demo_block(demos))
+    prompt = GENERATION_TEMPLATE.replace(DEMOS_SLOT, render_demo_block(demos))
     return prompt.replace(NUMBER_SLOT, str(n))
 
 
 def build_classification_prompt(demos, query: NewsRecord) -> str:
     """Instantiate the classification template for one query record."""
     demos = list(demos)
-    prompt = classification_template()
+    prompt = CLASSIFICATION_TEMPLATE
     if demos:
         prompt = prompt.replace(DEMOS_SLOT, render_demo_block(demos))
     else:

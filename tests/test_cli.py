@@ -16,6 +16,7 @@ from collections import Counter
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -723,13 +724,18 @@ class TestCmdGenerate:
 
     @staticmethod
     def fail_partway(monkeypatch):
-        # The real writer, given one record it cannot encode after the good
-        # ones, fails partway through the file.
+        # The real writer, given one record-shaped item it cannot encode
+        # after the good ones, fails partway through the file. NewsRecord
+        # itself refuses such text, so the item is a plain namespace.
         real_save = cli_module.save_jsonl
 
         def save_then_fail(corpus, path):
-            bad = corpus_module.NewsRecord("Bad", "x \ud800", LABELS[0])
-            return real_save(Corpus(corpus.records + (bad,)), path)
+            bad = SimpleNamespace(title="Bad", description="x \ud800", label=LABELS[0])
+            try:
+                return real_save(Corpus(corpus.records + (bad,)), path)
+            except UnicodeEncodeError:
+                assert path.read_text(encoding="utf-8").count("\n") == len(corpus)
+                raise
 
         monkeypatch.setattr(cli_module, "save_jsonl", save_then_fail)
 
@@ -790,6 +796,20 @@ class TestCmdGenerate:
         assert main(["generate", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert f"mock:<N> needs N to be a positive multiple of 4, got {value!r}" in err
+
+    def test_lone_surrogate_in_a_dataset_row_fails_in_the_load_stage(self, tmp_path, capsys):
+        # json.dumps writes the lone surrogate as the escape \ud800, which
+        # json.loads reads back; the text has no UTF-8 form to write out.
+        data = tmp_path / "data.jsonl"
+        rows = [{"Title": f"{label.display} headline {i}", "Description": f"Text {i}.",
+                 "Class_Label": label.display} for i in range(8) for label in LABELS]
+        rows[2]["Title"] += " \ud800"
+        data.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        assert "\\ud800" in data.read_text(encoding="utf-8")
+        path = write_config(tmp_path, dataset_path=str(data))
+        assert main(["generate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'load-dataset': row 3: title has no UTF-8 form")
 
 
 # ---------------------------------------------------------------- evaluate
@@ -867,6 +887,43 @@ class TestCmdEvaluate:
         manifest = read_json(out / "manifest_evaluate.json")
         assert manifest["notes"]["synthetic_provenance_known"] is False
         assert manifest["budget_ledger"]["entries"] == []
+
+    def test_a_renamed_copy_beside_the_manifest_has_unknown_provenance(self, generated):
+        # The manifest beside the file names synthetic.jsonl, not other.jsonl.
+        path, out = generated
+        other = out / "other.jsonl"
+        other.write_bytes((out / "synthetic.jsonl").read_bytes())
+        assert main(["evaluate", "--config", str(path),
+                     "--synthetic", str(other), "--models", "mnb"]) == 0
+        manifest = read_json(out / "manifest_evaluate.json")
+        assert manifest["notes"]["synthetic_provenance_known"] is False
+        assert manifest["budget_ledger"]["entries"] == []
+
+    def test_lone_surrogate_in_a_synthetic_row_fails_in_the_load_stage(self, generated,
+                                                                        capsys):
+        path, out = generated
+        synthetic = out / "synthetic.jsonl"
+        lines = synthetic.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[1])
+        row["Description"] += " \udfff"
+        lines[1] = json.dumps(row)
+        synthetic.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["evaluate", "--config", str(path),
+                     "--synthetic", str(synthetic), "--models", "mnb"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: stage 'load-synthetic': row 2: description has no UTF-8 form")
+        assert not (out / "evaluation.json").exists()
+
+    def test_synthetic_file_of_another_suffix_fails_in_the_load_stage(self, generated, capsys):
+        path, out = generated
+        renamed = out / "x.txt"
+        renamed.write_bytes((out / "synthetic.jsonl").read_bytes())
+        assert main(["evaluate", "--config", str(path),
+                     "--synthetic", str(renamed), "--models", "mnb"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'load-synthetic': ")
+        assert "name the file *.csv or *.jsonl" in err
 
     def test_a_failed_report_write_leaves_no_report_and_no_manifest(self, generated, capsys,
                                                                      monkeypatch):
@@ -1173,30 +1230,33 @@ class TestCmdAudit:
         assert "member and non-member" in err
 
 
-@pytest.mark.parametrize("corruption", ["truncated", "epsilon-not-a-number", "no-budget-ledger"])
+@pytest.mark.parametrize("corruption", ["truncated", "epsilon-not-a-number", "no-budget-ledger",
+                                        "no-outputs"])
 @pytest.mark.parametrize("command, report", [("evaluate", "evaluation.json"),
                                              ("audit", "audit.json")])
 def test_corrupt_generate_manifest_fails_in_the_load_stage(generated, capsys, corruption,
                                                            command, report):
-    # Only a missing manifest means "provenance unknown"; one that cannot be
-    # read as a ledger must stop the run before any model is trained.
+    # Only a missing manifest, or one naming another file, means "provenance
+    # unknown"; one that cannot be read as outputs and a ledger must stop the
+    # run before any model is trained.
     path, out = generated
     manifest = out / "manifest_generate.json"
     data = read_json(manifest)
+    key = corruption.removeprefix("no-").replace("-", "_")
     if corruption == "truncated":
         manifest.write_text(manifest.read_text(encoding="utf-8")[:60], encoding="utf-8")
     elif corruption == "epsilon-not-a-number":
         data["budget_ledger"]["entries"][0]["epsilon"] = "abc"
         manifest.write_text(json.dumps(data), encoding="utf-8")
     else:
-        del data["budget_ledger"]
+        del data[key]
         manifest.write_text(json.dumps(data), encoding="utf-8")
     argv = [command, "--config", str(path), "--synthetic", str(out / "synthetic.jsonl")]
     assert main(argv + (["--models", "mnb"] if command == "evaluate" else [])) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: stage 'load-synthetic': ") and err.count("\n") == 1
-    if corruption == "no-budget-ledger":
-        assert err.endswith(f": {manifest} has no key 'budget_ledger'\n")
+    if corruption.startswith("no-"):
+        assert err.endswith(f": {manifest} has no key {key!r}\n")
     assert not (out / report).exists()
 
 

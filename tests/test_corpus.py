@@ -59,6 +59,19 @@ def test_record_requires_nonempty_fields():
         NewsRecord("title", "   ", ClassLabel.WORLD)
 
 
+@pytest.mark.parametrize("title, description, message", [
+    ("", "desc", "empty title"),
+    ("title", " \t", "empty description"),
+    (None, "desc", "title must be a string"),
+    ("title", 7, "description must be a string"),
+    ("t \ud800", "desc", "title has no UTF-8 form: surrogates not allowed"),
+    ("title", "d \udfff", "description has no UTF-8 form: surrogates not allowed"),
+])
+def test_record_check_names_the_field(title, description, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        NewsRecord(title, description, ClassLabel.WORLD)
+
+
 def test_record_text_joins_title_and_description():
     r = rec("Hello", "world news", ClassLabel.WORLD)
     assert r.title + " " + r.description == "Hello world news"
@@ -100,7 +113,7 @@ def test_load_csv_maps_class_indices(tmp_path):
                '"1","Summit opens","Leaders meet in Geneva."\n'
                '"2","Cup final","The match went to penalties."\n'
                '"4","New chip ships","A faster processor arrives."\n')
-    c = load_agnews(p, "csv")
+    c = load_agnews(p)
     assert [r.label for r in c.records] == [
         ClassLabel.BUSINESS, ClassLabel.WORLD, ClassLabel.SPORTS, ClassLabel.SCITECH,
     ]
@@ -110,7 +123,7 @@ def test_load_csv_maps_class_indices(tmp_path):
 def test_load_csv_handles_quoted_commas_and_quotes(tmp_path):
     p = _write(tmp_path, "a.csv",
                '"1","Title, with comma","He said ""quoted"" words."\n')
-    c = load_agnews(p, "csv")
+    c = load_agnews(p)
     assert c.records[0].title == "Title, with comma"
     assert c.records[0].description == 'He said "quoted" words.'
 
@@ -118,25 +131,30 @@ def test_load_csv_handles_quoted_commas_and_quotes(tmp_path):
 def test_load_csv_wrong_column_count(tmp_path):
     p = _write(tmp_path, "a.csv", '"1","only two fields"\n')
     with pytest.raises(ValueError, match="^row 1: expected 3 columns, found 2$"):
-        load_agnews(p, "csv")
+        load_agnews(p)
 
 
 def test_load_csv_bad_class_index(tmp_path):
     for cell in ("5", "0", "x"):
         p = _write(tmp_path, "a.csv", f'"{cell}","t","d"\n')
         with pytest.raises(ValueError, match=f"^row 1: unknown class label: '{cell}'$"):
-            load_agnews(p, "csv")
+            load_agnews(p)
 
 
 def test_load_csv_empty_field_is_malformed(tmp_path):
     p = _write(tmp_path, "a.csv", '"1","","desc"\n')
     with pytest.raises(ValueError, match="^row 1: empty title$"):
-        load_agnews(p, "csv")
+        load_agnews(p)
+
+
+def test_load_csv_class_index_is_read_as_an_int(tmp_path):
+    p = _write(tmp_path, "a.csv", '" 1","t","d"\n"04","t2","d2"\n')
+    assert [r.label for r in load_agnews(p)] == [ClassLabel.WORLD, ClassLabel.SCITECH]
 
 
 def test_load_csv_skips_blank_lines(tmp_path):
     p = _write(tmp_path, "a.csv", '"1","t","d"\n\n"2","t2","d2"\n')
-    assert len(load_agnews(p, "csv")) == 2
+    assert len(load_agnews(p)) == 2
 
 
 @pytest.mark.parametrize("name, text", [
@@ -149,13 +167,27 @@ def test_load_csv_skips_blank_lines(tmp_path):
 def test_unknown_label_names_its_row(tmp_path, name, text):
     p = _write(tmp_path, name, text)
     with pytest.raises(ValueError, match="^row 2: unknown class label: "):
-        load_agnews(p, name.split(".")[1])
+        load_agnews(p)
+
+
+@pytest.mark.parametrize("name", ["a.txt", "a", "a.csv.gz", "a.json"])
+def test_load_needs_a_csv_or_jsonl_suffix(tmp_path, name):
+    p = _write(tmp_path, name, '"1","t","d"\n')
+    with pytest.raises(ValueError, match=f"^cannot tell the format of '{re.escape(name)}'; "
+                                         r"name the file \*\.csv or \*\.jsonl$"):
+        load_agnews(p)
+
+
+def test_load_suffix_is_case_blind(tmp_path):
+    assert len(load_agnews(_write(tmp_path, "a.CSV", '"1","t","d"\n'))) == 1
+    line = '{"Title": "t", "Description": "d", "Class_Label": "World"}\n'
+    assert len(load_agnews(_write(tmp_path, "a.JsonL", line))) == 1
 
 
 def test_load_empty_file(tmp_path):
     p = _write(tmp_path, "a.csv", "")
     with pytest.raises(ValueError, match="^no records in "):
-        load_agnews(p, "csv")
+        load_agnews(p)
 
 
 # ---------------------------------------------------------------- jsonl
@@ -167,7 +199,7 @@ def test_load_jsonl_roundtrip(tmp_path):
     )
     p = tmp_path / "c.jsonl"
     save_jsonl(c, p)
-    loaded = load_agnews(p, "jsonl")
+    loaded = load_agnews(p)
     assert [(r.title, r.description, r.label) for r in loaded.records] == [
         (r.title, r.description, r.label) for r in c.records
     ]
@@ -187,7 +219,7 @@ def test_save_jsonl_key_order_and_unicode(tmp_path):
 def test_load_jsonl_requires_exact_keys(tmp_path):
     p = _write(tmp_path, "c.jsonl", '{"Title": "t", "Description": "d"}\n')
     with pytest.raises(ValueError, match="^row 1: missing key Class_Label$"):
-        load_agnews(p, "jsonl")
+        load_agnews(p)
 
 
 def test_load_jsonl_ignores_extra_keys(tmp_path):
@@ -195,13 +227,26 @@ def test_load_jsonl_ignores_extra_keys(tmp_path):
         tmp_path, "c.jsonl",
         '{"Title": "t", "Description": "d", "Class_Label": "World", "x": 1}\n',
     )
-    assert load_agnews(p, "jsonl").records[0].label is ClassLabel.WORLD
+    assert load_agnews(p).records[0].label is ClassLabel.WORLD
+
+
+@pytest.mark.parametrize("row, message", [
+    ({"Title": " ", "Description": "d", "Class_Label": "World"}, "empty title"),
+    ({"Title": "t", "Description": 3, "Class_Label": "World"}, "description must be a string"),
+    ({"Title": "t", "Description": "d \ud800", "Class_Label": "World"},
+     "description has no UTF-8 form: surrogates not allowed"),
+])
+def test_load_jsonl_record_errors_name_their_row(tmp_path, row, message):
+    good = {"Title": "t", "Description": "d", "Class_Label": "World"}
+    p = _write(tmp_path, "c.jsonl", json.dumps(good) + "\n\n" + json.dumps(row) + "\n")
+    with pytest.raises(ValueError, match=f"^row 3: {re.escape(message)}$"):
+        load_agnews(p)
 
 
 def test_load_jsonl_rejects_non_object(tmp_path):
     p = _write(tmp_path, "c.jsonl", '["t", "d", "World"]\n')
     with pytest.raises(ValueError, match="^row 1: line is not a JSON object$"):
-        load_agnews(p, "jsonl")
+        load_agnews(p)
 
 
 # ---------------------------------------------------------------- split
