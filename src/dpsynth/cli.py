@@ -383,7 +383,8 @@ def _synthesize(config: ExperimentConfig, train: Corpus, client, seed: int,
 
     The generation stream is ``subseed(seed, "generation", *labels)``."""
     with stage("generate-records"):
-        raw = run_generation(train, client, config.gen, subseed(seed, "generation", *labels))
+        raw = run_generation(train, client, config.gen, subseed(seed, "generation", *labels),
+                             workers=config.backend.max_concurrent)
     with stage("histogram"):
         return raw, build_histogram(raw, config.vocab_limit)
 

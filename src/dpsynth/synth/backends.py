@@ -93,7 +93,8 @@ class ResponseCache:
 
 
 class _Counted:
-    """Call counters in ``stats``; the ICL thread pool bumps them concurrently."""
+    """Call counters in ``stats``; the ICL and generation thread pools bump them
+    concurrently."""
 
     def __init__(self):
         self.stats = {"mock_calls": 0, "http_requests": 0, "cache_hits": 0}

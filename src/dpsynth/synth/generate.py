@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,15 +140,20 @@ def select_demos(corpus: Corpus, n: int, seed: int) -> list[NewsRecord]:
 
 # ---------------------------------------------------------------- generation loop
 
-def run_generation(original: Corpus, backend, config: GenerationConfig, seed: int) -> Corpus:
+def run_generation(original: Corpus, backend, config: GenerationConfig, seed: int,
+                   workers: int = 1) -> Corpus:
     """Generate a class-balanced synthetic corpus.
 
     Demonstrations are selected once per run, and so is the prompt: every
     call asks for batch_size records and sends its own seed derived from
-    ``seed``, so a backend answers every call afresh. Batches are requested
-    until every class holds total_records/4 records; surplus records of a
-    full class are discarded, and exact (title, description) duplicates,
-    including the demonstrations themselves, are dropped.
+    ``seed``, so a backend answers every call afresh. Calls go out in waves
+    of ``workers`` concurrent calls; the next wave starts when the last one
+    has answered. A wave's batches are merged in the order of their records'
+    content, so the corpus depends only on which answers a wave received,
+    not on which call received which. Waves are sent until every class holds
+    total_records/4 records; surplus records of a full class are discarded,
+    and exact (title, description) duplicates, including the demonstrations
+    themselves, are dropped.
     Raises RuntimeError after 8 + 6 * ceil(total_records/batch_size) calls.
     """
     demos = select_demos(original, config.num_shots, seed)
@@ -157,20 +163,28 @@ def run_generation(original: Corpus, backend, config: GenerationConfig, seed: in
     seen: set[tuple[str, str]] = {(d.title, d.description) for d in demos}
     collected: list[NewsRecord] = []
 
-    max_calls = 8 + 6 * math.ceil(config.total_records / config.batch_size)
-    for call in range(max_calls):
+    def call(index: int) -> tuple[NewsRecord, ...]:
         try:
-            batch = generate_batch(backend, prompt, config, subseed(seed, "batch", call))
+            return generate_batch(backend, prompt, config, subseed(seed, "batch", index)).records
         except AllRecordsMalformed:
-            continue  # a wasted call; the cap still bounds the loop
-        for rec in batch.records:
-            key = (rec.title, rec.description)
-            if key in seen or buckets[rec.label] >= quota:
-                continue
-            seen.add(key)
-            buckets[rec.label] += 1
-            collected.append(rec)
-        if len(collected) == config.total_records:
-            return Corpus(tuple(collected))
+            return ()  # a wasted call; the cap still bounds the loop
+
+    def content(batch: tuple[NewsRecord, ...]) -> list[tuple[str, str, str]]:
+        return [(r.title, r.description, r.label.value) for r in batch]
+
+    max_calls = 8 + 6 * math.ceil(config.total_records / config.batch_size)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, max_calls, workers):
+            wave = pool.map(call, range(start, min(start + workers, max_calls)))
+            for batch in sorted(wave, key=content):
+                for rec in batch:
+                    key = (rec.title, rec.description)
+                    if key in seen or buckets[rec.label] >= quota:
+                        continue
+                    seen.add(key)
+                    buckets[rec.label] += 1
+                    collected.append(rec)
+            if len(collected) == config.total_records:
+                return Corpus(tuple(collected))
     missing = {label.display: quota - n for label, n in buckets.items() if n < quota}
     raise RuntimeError(f"after {max_calls} calls still missing {missing} records per class")

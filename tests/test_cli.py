@@ -8,10 +8,12 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -1361,6 +1363,51 @@ class TestHttpGeneration:
         assert stats == {"mock_calls": 0, "http_requests": calls - good, "cache_hits": good}
         assert (tmp_path / "rerun" / "synthetic.jsonl").read_bytes() == \
             (tmp_path / "whole" / "synthetic.jsonl").read_bytes()
+
+    def test_concurrent_generation_is_deterministic(self, tmp_path, monkeypatch):
+        # Like a shared endpoint, the transport answers generation requests
+        # in order of arrival, after a random delay, so which call gets which
+        # answer changes from run to run; the corpus must not.
+        lock = threading.Lock()
+        state = {"arrived": 0, "in_flight": 0, "peak": 0}
+        jitter = random.Random(0)
+
+        def transport(url, headers, body):
+            with lock:
+                state["in_flight"] += 1
+                state["peak"] = max(state["peak"], state["in_flight"])
+                delay = jitter.uniform(0, 0.004)
+            time.sleep(delay)
+            with lock:
+                n = state["arrived"]
+                state["arrived"] += 1
+            time.sleep(0.002)
+            rows = [{"Title": f"Arrival {n} item {i}", "Description": f"Story {n}-{i}.",
+                     "Class_Label": LABELS[(n + i) % 4].display} for i in range(5)]
+            content = "not json" if n % 5 == 3 else json.dumps(rows)
+            with lock:
+                state["in_flight"] -= 1
+            return 200, json.dumps({"choices": [{"message": {"content": content}}]})
+
+        monkeypatch.setattr("dpsynth.synth.backends._default_transport", transport)
+
+        def generate(name, cache):
+            state["arrived"] = 0  # every run is answered from the same sequence
+            path = write_config(
+                tmp_path, name=f"{name}.json", gen={"total_records": 32, "batch_size": 8},
+                backend={"kind": "http", "endpoint_url": "http://unit.test/v1",
+                         "model_name": "m", "max_concurrent": 2},
+                cache_dir=str(tmp_path / cache), output_dir=str(tmp_path / name))
+            assert main(["generate", "--config", str(path)]) == 0
+            return (tmp_path / name / "synthetic.jsonl").read_bytes()
+
+        first = generate("a", "cache-a")
+        assert generate("b", "cache-b") == first
+        assert state["peak"] == 2
+        assert generate("warm", "cache-a") == first
+        assert state["arrived"] == 0
+        stats = read_json(tmp_path / "warm" / "manifest_generate.json")["backend_stats"]
+        assert stats["http_requests"] == 0
 
     def test_no_cache_flag_always_hits_the_network(self, tmp_path):
         with local_chat_server() as (url, counter):

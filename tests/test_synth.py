@@ -1049,12 +1049,14 @@ class TestRunGeneration:
 
     def test_duplicate_records_are_dropped(self):
         rows = [(f"T{i}", f"Story {i}.", label.display) for i, label in enumerate(LABELS)]
-        client = ScriptedClient([synth_json(rows)])  # same four records every call
         config = GenerationConfig(total_records=8, batch_size=8, num_shots=0)
-        # the automatic cap: 8 + 6 * ceil(8 / 8) calls
-        with pytest.raises(RuntimeError, match="^after 14 calls still missing "):
-            run_generation(mock_original_corpus(1, 0), client, config, 1)
-        assert len(client.calls) == 14
+        # the automatic cap: 8 + 6 * ceil(8 / 8) calls, the last wave of
+        # three cut to the two calls left under it
+        for workers in (1, 3):
+            client = ScriptedClient([synth_json(rows)])  # same four records every call
+            with pytest.raises(RuntimeError, match="^after 14 calls still missing "):
+                run_generation(mock_original_corpus(1, 0), client, config, 1, workers=workers)
+            assert len(client.calls) == 14
 
     def test_demo_records_are_excluded(self):
         original = mock_original_corpus(1, seed=4)  # pools of one record per class
