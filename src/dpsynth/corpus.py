@@ -35,10 +35,6 @@ class ClassLabel(Enum):
     BUSINESS = "Business"
     SCITECH = "Sci/Tech"
 
-    @property
-    def display(self) -> str:
-        return self.value
-
 
 LABELS: tuple[ClassLabel, ...] = tuple(ClassLabel)
 _LABEL_IDS = {label: k for k, label in enumerate(LABELS)}
@@ -197,7 +193,7 @@ def save_jsonl(corpus: Corpus, path: str | Path) -> Path:
                     {
                         "Title": rec.title,
                         "Description": rec.description,
-                        "Class_Label": rec.label.display,
+                        "Class_Label": rec.label.value,
                     },
                     ensure_ascii=False,
                 )
@@ -230,7 +226,7 @@ def sample_split(corpus: Corpus, n_train: int, n_test: int, seed: int) -> tuple[
         pool = np.flatnonzero(corpus.label_ids == k)
         if len(pool) < need:
             raise ValueError(
-                f"class {label.display}: need {need} records, have {len(pool)}"
+                f"class {label.value}: need {need} records, have {len(pool)}"
             )
         chosen.append(pool[rng.permutation(len(pool))[:need]])
 

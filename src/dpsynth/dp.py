@@ -166,7 +166,7 @@ class TokenHistogram:
             for token, count in cells.items():
                 if not isinstance(count, int) or count < 0:
                     raise ValueError(
-                        f"count for ({label.display}, {token!r}) must be a nonnegative int"
+                        f"count for ({label.value}, {token!r}) must be a nonnegative int"
                     )
 
     @property
@@ -182,7 +182,7 @@ class TokenHistogram:
             "fingerprint": self.fingerprint,
             "vocab_limit": self.vocab_limit,
             "per_class": {
-                label.display: dict(sorted(self.per_class.get(label, {}).items()))
+                label.value: dict(sorted(self.per_class.get(label, {}).items()))
                 for label in LABELS
             },
         }

@@ -27,7 +27,7 @@ class EvalReport:
             "train_source": self.train_source,
             "accuracy": self.accuracy,
             "per_class_accuracy": {
-                label.display: acc for label, acc in self.per_class_accuracy.items()
+                label.value: acc for label, acc in self.per_class_accuracy.items()
             },
             "n_test": self.n_test,
             "config_fingerprint": self.config_fingerprint,

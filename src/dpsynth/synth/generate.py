@@ -132,7 +132,7 @@ def select_demos(corpus: Corpus, n: int, seed: int) -> list[NewsRecord]:
         want = n // 4 + (k in extra)
         pool = np.flatnonzero(corpus.label_ids == k)
         if len(pool) < want:
-            raise ValueError(f"class {label.display}: need {want} demo records, have {len(pool)}")
+            raise ValueError(f"class {label.value}: need {want} demo records, have {len(pool)}")
         picks = pool[rng.choice(len(pool), size=want, replace=False)]
         demos.extend(corpus.records[i] for i in picks)
     return demos
@@ -186,5 +186,5 @@ def run_generation(original: Corpus, backend, config: GenerationConfig, seed: in
                     collected.append(rec)
             if len(collected) == config.total_records:
                 return Corpus(tuple(collected))
-    missing = {label.display: quota - n for label, n in buckets.items() if n < quota}
+    missing = {label.value: quota - n for label, n in buckets.items() if n < quota}
     raise RuntimeError(f"after {max_calls} calls still missing {missing} records per class")

@@ -61,7 +61,7 @@ def build_generation_prompt(demos, n: int) -> str:
     demos = list(demos)
     if len(demos) >= 4:
         present = {d.label for d in demos}
-        missing = [label.display for label in LABELS if label not in present]
+        missing = [label.value for label in LABELS if label not in present]
         if missing:
             raise ValueError(f"no demonstration for: {', '.join(missing)}")
     prompt = GENERATION_TEMPLATE.replace(DEMOS_SLOT, render_demo_block(demos))

@@ -8,12 +8,14 @@ occurrences are inserted as copies at uniformly random token boundaries of
 uniformly chosen records. Tokens outside the target vocabulary are never
 touched.
 
-Each class is edited from an index built in one pass over its tokens. All of
-a class's deletions come first; then every missing copy gets its record, and
-each receiving record takes all of its copies in one merge. The merge has the
-law of that many sequential inserts at uniform boundaries, where a boundary is
-any place in the title or description except after the last description
-token.
+Each record is one token list: its title, a cut, then its description. Each
+class is edited from an index of (record, position) occurrences built in one
+pass over its lists. All of a class's deletions come first; then every
+missing copy gets its record, and each receiving record takes all of its
+copies in one merge. The merge has the law of that many sequential inserts at
+uniform boundaries: before any token or the cut, never after the list's last
+entry. The render splits the list at the cut, moved past the first token when
+the title is empty and a token is left.
 
 Edited records are re-rendered as space-joined token sequences; tokenize()
 is idempotent on exactly that form, which is what makes the recount land on
@@ -38,8 +40,8 @@ from ..dp import TokenHistogram
 # A field whose tokens were all deleted is rendered as ".": non-empty text
 # that tokenizes to nothing, so record invariants hold and counts do not move.
 _EMPTY_FIELD = "."
-# Marks the title/description cut while a record is merged; never a token.
-_CUT = ""
+# Marks the title/description cut in a record's token list; equal to no token.
+_CUT = object()
 
 
 def reconcile_corpus(
@@ -54,84 +56,74 @@ def reconcile_corpus(
     occurrence count in the result equals the target count.
     """
     # Working token state; records are re-rendered only if edited.
-    titles = [tokenize(r.title) for r in synthetic.records]
-    descs = [tokenize(r.description) for r in synthetic.records]
-    dirty = [False] * len(synthetic.records)
+    seqs = [tokenize(r.title) + [_CUT] + tokenize(r.description) for r in synthetic.records]
+    edited = set()
 
     for k, label in enumerate(LABELS):
         cells = target.per_class.get(label, {})
         idx = np.flatnonzero(synthetic.label_ids == k).tolist()
         occurrences: dict = {token: [] for token in cells}
         for i in idx:
-            for where, seq in ((0, titles[i]), (1, descs[i])):
-                for pos, word in enumerate(seq):
-                    hits = occurrences.get(word)
-                    if hits is not None:
-                        hits.append((i, where, pos))
+            for pos, word in enumerate(seqs[i]):
+                hits = occurrences.get(word)
+                if hits is not None:
+                    hits.append((i, pos))
 
         doomed: dict = {}
         copies = []
         for token in sorted(cells):
             hits = occurrences[token]
-            surplus = len(hits) - int(cells[token])
+            surplus = len(hits) - cells[token]
             if surplus > 0:
                 for j in rng.choice(len(hits), size=surplus, replace=False).tolist():
-                    i, where, pos = hits[j]
-                    doomed.setdefault((i, where), set()).add(pos)
+                    i, pos = hits[j]
+                    doomed.setdefault(i, set()).add(pos)
             elif surplus < 0:
                 copies.extend([token] * -surplus)
-        for (i, where), positions in doomed.items():
-            seqs = titles if where == 0 else descs
+        for i, positions in doomed.items():
             seqs[i] = [word for pos, word in enumerate(seqs[i]) if pos not in positions]
-            dirty[i] = True
+            edited.add(i)
 
         if not copies:
             continue
         if not idx:
             raise ValueError(
-                f"class {label.display} has no records to absorb insertions"
+                f"class {label.value} has no records to absorb insertions"
             )
         received: dict = {}
         for token, r in zip(copies, rng.integers(0, len(idx), size=len(copies)).tolist()):
             received.setdefault(idx[r], []).append(token)
         for i in sorted(received):
-            titles[i], descs[i] = _merge(titles[i], descs[i], received[i], rng)
-            dirty[i] = True
+            seqs[i] = _merge(seqs[i], received[i], rng)
+            edited.add(i)
 
-    records = []
-    for i, rec in enumerate(synthetic.records):
-        if not dirty[i]:
-            records.append(rec)
-            continue
-        title_tokens, desc_tokens = titles[i], descs[i]
-        if not title_tokens and desc_tokens:
-            # Keep the title non-empty by promoting a description token;
-            # pooled per-record counts are unchanged.
-            title_tokens = [desc_tokens[0]]
-            desc_tokens = desc_tokens[1:]
-        records.append(
-            NewsRecord(
-                title=" ".join(title_tokens) or _EMPTY_FIELD,
-                description=" ".join(desc_tokens) or _EMPTY_FIELD,
-                label=rec.label,
-            )
+    records = list(synthetic.records)
+    for i in edited:
+        words = seqs[i]
+        cut = words.index(_CUT)
+        del words[cut]
+        # An emptied title takes the first description token, if any is left.
+        cut = max(cut, min(1, len(words)))
+        records[i] = NewsRecord(
+            title=" ".join(words[:cut]) or _EMPTY_FIELD,
+            description=" ".join(words[cut:]) or _EMPTY_FIELD,
+            label=records[i].label,
         )
     result = Corpus(tuple(records))
-    del titles, descs  # freed before the recount, which tokenizes the result afresh
+    del seqs  # freed before the recount, which tokenizes the result afresh
     _verify_counts(result, target)
     return result
 
 
-def _merge(title: list, desc: list, new: list, rng: np.random.Generator):
-    """Insert the ``new`` tokens into one record in a single pass.
+def _merge(seq: list, new: list, rng: np.random.Generator) -> list:
+    """Insert the ``new`` tokens into one record's token list in a single pass.
 
     Same law as len(new) sequential inserts, each at a uniform boundary
     before a title token, the title/description cut or a description token:
-    the copies take a uniform set of slots of the merged sequence, in
-    uniform order, and the last slot keeps what was last before the merge,
-    so nothing lands after the last description token.
+    the copies take a uniform set of slots of the merged list, in uniform
+    order, and the last slot keeps the list's last entry, so nothing lands
+    after the last description token, nor in an emptied description.
     """
-    seq = title + [_CUT] + desc
     merged = [None] * (len(seq) + len(new))
     # An ordered sample of distinct slots is a uniform slot set and a
     # uniform order of the copies in one draw.
@@ -139,9 +131,7 @@ def _merge(title: list, desc: list, new: list, rng: np.random.Generator):
     for slot, token in zip(slots.tolist(), new):
         merged[slot] = token
     rest = iter(seq)
-    merged = [word if word is not None else next(rest) for word in merged]
-    cut = merged.index(_CUT)
-    return merged[:cut], merged[cut + 1:]
+    return [word if word is not None else next(rest) for word in merged]
 
 
 def count_vocab_tokens(corpus: Corpus, target: TokenHistogram) -> dict:
@@ -159,14 +149,10 @@ def count_vocab_tokens(corpus: Corpus, target: TokenHistogram) -> dict:
     return out
 
 
-def _verify_counts(corpus: Corpus, target) -> None:
+def _verify_counts(corpus: Corpus, target: TokenHistogram) -> None:
     actual = count_vocab_tokens(corpus, target)
     for label in LABELS:
-        expected = target.per_class.get(label, {})
-        if actual[label] != {t: int(c) for t, c in expected.items()}:
-            diff = {
-                t: (actual[label].get(t), expected[t])
-                for t in expected
-                if actual[label].get(t) != expected[t]
-            }
-            raise AssertionError(f"reconciliation failed for {label.display}: {diff}")
+        cells = target.per_class.get(label, {})
+        diff = {t: (actual[label][t], c) for t, c in cells.items() if actual[label][t] != c}
+        if diff:
+            raise AssertionError(f"reconciliation failed for {label.value}: {diff}")

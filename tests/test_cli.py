@@ -803,8 +803,8 @@ class TestCmdGenerate:
         # json.dumps writes the lone surrogate as the escape \ud800, which
         # json.loads reads back; the text has no UTF-8 form to write out.
         data = tmp_path / "data.jsonl"
-        rows = [{"Title": f"{label.display} headline {i}", "Description": f"Text {i}.",
-                 "Class_Label": label.display} for i in range(8) for label in LABELS]
+        rows = [{"Title": f"{label.value} headline {i}", "Description": f"Text {i}.",
+                 "Class_Label": label.value} for i in range(8) for label in LABELS]
         rows[2]["Title"] += " \ud800"
         data.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
         assert "\\ud800" in data.read_text(encoding="utf-8")
@@ -1218,9 +1218,9 @@ class TestCmdAudit:
         for label in LABELS:
             for _ in range(4):
                 rows.append(json.dumps({
-                    "Title": f"{label.display} headline",
+                    "Title": f"{label.value} headline",
                     "Description": "same text every time.",
-                    "Class_Label": label.display,
+                    "Class_Label": label.value,
                 }))
         data.write_text("\n".join(rows) + "\n", encoding="utf-8")
         path = write_config(tmp_path, dataset_path=str(data), n_train=8, n_test=8)
@@ -1282,7 +1282,7 @@ def local_chat_server(fail_after=None):
             counter["n"] += 1
             rows = [
                 {"Title": f"Srv{seed} item{i}", "Description": f"payload {seed} {i}.",
-                 "Class_Label": LABELS[i % 4].display}
+                 "Class_Label": LABELS[i % 4].value}
                 for i in range(k)
             ]
             status, payload = 200, json.dumps(
@@ -1383,7 +1383,7 @@ class TestHttpGeneration:
                 state["arrived"] += 1
             time.sleep(0.002)
             rows = [{"Title": f"Arrival {n} item {i}", "Description": f"Story {n}-{i}.",
-                     "Class_Label": LABELS[(n + i) % 4].display} for i in range(5)]
+                     "Class_Label": LABELS[(n + i) % 4].value} for i in range(5)]
             content = "not json" if n % 5 == 3 else json.dumps(rows)
             with lock:
                 state["in_flight"] -= 1

@@ -47,7 +47,7 @@ def test_normalize_label_rejects(raw):
 
 
 def test_label_enum_order_is_agnews_index_order():
-    assert [l.display for l in LABELS] == ["World", "Sports", "Business", "Sci/Tech"]
+    assert [l.value for l in LABELS] == ["World", "Sports", "Business", "Sci/Tech"]
 
 
 # ---------------------------------------------------------------- records

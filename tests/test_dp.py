@@ -241,7 +241,7 @@ def test_noisy_histogram_json_roundtrip():
                              "sensitivity"]
     assert written["fingerprint"] == "unigram-lower-min2-v1:k8"
     assert written["per_class"] == {
-        label.display: noisy.per_class[label] for label in LABELS
+        label.value: noisy.per_class[label] for label in LABELS
     }
     for cells in written["per_class"].values():
         assert list(cells) == sorted(cells)

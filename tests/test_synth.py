@@ -1048,7 +1048,7 @@ class TestRunGeneration:
         assert c.records != a.records
 
     def test_duplicate_records_are_dropped(self):
-        rows = [(f"T{i}", f"Story {i}.", label.display) for i, label in enumerate(LABELS)]
+        rows = [(f"T{i}", f"Story {i}.", label.value) for i, label in enumerate(LABELS)]
         config = GenerationConfig(total_records=8, batch_size=8, num_shots=0)
         # the automatic cap: 8 + 6 * ceil(8 / 8) calls, the last wave of
         # three cut to the two calls left under it
@@ -1062,7 +1062,7 @@ class TestRunGeneration:
         original = mock_original_corpus(1, seed=4)  # pools of one record per class
         demos = select_demos(original, 4, seed=9)
         demo_rows = [(d.title, d.description, PROMPT_LABEL[d.label]) for d in demos]
-        fresh_rows = [(f"New {i}", f"Fresh body {i}.", LABELS[i % 4].display) for i in range(8)]
+        fresh_rows = [(f"New {i}", f"Fresh body {i}.", LABELS[i % 4].value) for i in range(8)]
         client = ScriptedClient([synth_json(demo_rows), synth_json(fresh_rows)])
         config = GenerationConfig(total_records=8, batch_size=8, num_shots=4)
         corpus = run_generation(original, client, config, 9)
@@ -1071,7 +1071,7 @@ class TestRunGeneration:
         assert len(client.calls) == 2
 
     def test_malformed_batches_are_tolerated(self):
-        rows = [(f"T{i}", f"Story {i}.", LABELS[i % 4].display) for i in range(8)]
+        rows = [(f"T{i}", f"Story {i}.", LABELS[i % 4].value) for i in range(8)]
         client = ScriptedClient(["no json at all", synth_json(rows)])
         config = GenerationConfig(total_records=8, batch_size=8, num_shots=0)
         corpus = run_generation(mock_original_corpus(1, 0), client, config, 1)
@@ -1189,6 +1189,21 @@ class TestReconcile:
         assert out.records[0].title == "."
         assert out.records[0].description == "."
         assert tokenize(out.records[0].title) == []
+
+    def test_copies_into_an_emptied_description_land_in_the_title(self):
+        # Deletions take every description token, so the cut is the last
+        # entry of the record's list and no copy can land after it.
+        corpus = Corpus((world_record("aa bb", "zz zz"),))
+        target = one_class_target({"zz": 0, "xx": 3}, 2)
+        for seed in range(50):
+            out = reconcile_corpus(corpus, target, make_rng(seed))
+            title = out.records[0].title.split()
+            assert sorted(title) == ["aa", "bb", "xx", "xx", "xx"]
+            assert [w for w in title if w != "xx"] == ["aa", "bb"]
+            assert out.records[0].description == "."
+            assert class_counts_restricted(out, target.per_class) == {
+                label: dict(target.per_class.get(label, {})) for label in LABELS
+            }
 
     def test_insertions_need_records_in_class(self):
         corpus = Corpus((world_record("alpha", "beta"),))
