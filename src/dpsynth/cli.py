@@ -107,6 +107,8 @@ class ExperimentConfig:
             raise ValueError("epsilon must be >= 0 (0 runs at the surrogate floor)")
         if any(e < 0 for e in self.epsilons):
             raise ValueError("sweep epsilons must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.sweep_seeds < 1:
             raise ValueError("sweep_seeds must be >= 1")
         if self.vocab_limit < 1:
@@ -357,22 +359,17 @@ def _load_synthetic(path: str | Path) -> tuple[Corpus, BudgetLedger, dict]:
         corpus = load_agnews(path)
         sibling = Path(path).parent / "manifest_generate.json"
         known = False
-        entries = []
+        ledger = BudgetLedger()
         if sibling.exists():
             data = json.loads(sibling.read_text(encoding="utf-8"))
             try:
                 known = Path(data["outputs"]["synthetic"]).name == Path(path).name
-                for entry in data["budget_ledger"]["entries"] if known else ():
-                    params = PrivacyParams(
-                        epsilon=float(entry["epsilon"]),
-                        delta=float(entry["delta"]),
-                        mechanism=Mechanism(entry["mechanism"]),
-                    )
-                    entries.append((str(entry["label"]), params))
+                if known:
+                    ledger = BudgetLedger.from_json_dict(data["budget_ledger"])
             except KeyError as exc:
                 raise ValueError(f"{sibling} has no key {exc.args[0]!r}") from None
     notes = {"synthetic_file": str(path), "synthetic_provenance_known": known}
-    return corpus, BudgetLedger(entries=tuple(entries)), notes
+    return corpus, ledger, notes
 
 
 # ---------------------------------------------------------------- release

@@ -97,52 +97,29 @@ def noise_scale(params: PrivacyParams, sensitivity: SensitivityBound) -> float:
 
 # ---------------------------------------------------------------- samplers
 
-def laplace_from_uniform(u, b: float):
-    """Inverse-CDF transform: u in [-1/2, 1/2) to Laplace(0, b).
-
-    Pure function of its inputs; the endpoint u = -1/2 (probability 2^-53
-    under a 53-bit uniform) is clamped to the smallest positive float before
-    the log so the output stays finite.
-    """
-    arr = np.asarray(u, dtype=np.float64)
-    mag = np.maximum(1.0 - 2.0 * np.abs(arr), np.finfo(np.float64).tiny)
-    out = -b * np.sign(arr) * np.log(mag)
-    return float(out) if np.ndim(u) == 0 else out
-
-
 def sample_laplace(rng: np.random.Generator, b: float, size: int | None = None):
-    """Laplace(0, b) draws via the inverse CDF of PCG64 uniforms.
-
-    A vectorized call consumes ``size`` uniforms in one block; repeated
-    scalar calls consume them one at a time. Both are deterministic given
-    the generator state, but they are different consumption orders.
+    """Laplace(0, b) draws by the inverse CDF, one PCG64 uniform each, so a
+    draw of ``size`` values consumes the stream exactly as ``size`` scalar
+    calls do. A uniform of 0 (probability 2^-53) puts 0 in the log; it is
+    clamped to the smallest positive float so the output stays finite.
     """
     if not (b > 0):
         raise ValueError("scale b must be positive")
     u = rng.random(size) - 0.5
-    return laplace_from_uniform(u, b)
-
-
-def gaussian_from_uniforms(u1, u2, sigma: float):
-    """Box-Muller cosine branch: u1 in (0, 1], u2 in [0, 1) to N(0, sigma^2)."""
-    a1 = np.asarray(u1, dtype=np.float64)
-    a2 = np.asarray(u2, dtype=np.float64)
-    out = sigma * np.sqrt(-2.0 * np.log(a1)) * np.cos(2.0 * np.pi * a2)
-    return float(out) if np.ndim(u1) == 0 and np.ndim(u2) == 0 else out
+    mag = np.maximum(1.0 - 2.0 * np.abs(u), np.finfo(np.float64).tiny)
+    return -b * np.sign(u) * np.log(mag)
 
 
 def sample_gaussian(rng: np.random.Generator, sigma: float, size: int | None = None):
-    """N(0, sigma^2) draws via Box-Muller over PCG64 uniforms.
-
-    Each output consumes two uniforms (the sine branch is discarded).
-    Vectorized calls draw the two uniform blocks back to back, so the stream
-    order differs from repeated scalar calls; both are deterministic.
+    """N(0, sigma^2) draws by the Box-Muller cosine branch, one pair of PCG64
+    uniforms (u1, u2) each, so a draw of ``size`` values consumes the stream
+    exactly as ``size`` scalar calls do. The sine branch is discarded, and
+    1 - u1 is in (0, 1], which keeps the log finite.
     """
     if not (sigma > 0):
         raise ValueError("sigma must be positive")
-    u1 = 1.0 - rng.random(size)  # (0, 1]: keeps the log finite
-    u2 = rng.random(size)
-    return gaussian_from_uniforms(u1, u2, sigma)
+    u1, u2 = rng.random(2 if size is None else (size, 2)).T
+    return sigma * np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)
 
 
 # ---------------------------------------------------------------- histograms
@@ -272,6 +249,13 @@ class BudgetLedger:
                 {"label": label, **params.to_json_dict()} for label, params in self.entries
             ],
         }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> BudgetLedger:
+        """The ledger ``to_json_dict`` wrote; the spent totals are recomputed."""
+        return cls(entries=tuple((str(e["label"]), PrivacyParams(
+            float(e["epsilon"]), float(e["delta"]), Mechanism(e["mechanism"])))
+            for e in data["entries"]))
 
 
 def charge(ledger: BudgetLedger, label: str, params: PrivacyParams) -> BudgetLedger:

@@ -37,7 +37,15 @@ from dpsynth.cli import (
     stage,
 )
 from dpsynth.corpus import LABELS, Corpus
-from dpsynth.dp import Mechanism
+from dpsynth.dp import (
+    Mechanism,
+    PrivacyParams,
+    SensitivityBound,
+    noise_scale,
+    sample_gaussian,
+    sample_laplace,
+)
+from dpsynth.rngutil import sub_rng
 from dpsynth.synth.backends import MockClient
 from dpsynth.synth.prompts import CLASSIFICATION_HEAD
 
@@ -1076,6 +1084,7 @@ class TestUncalibratableRelease:
         ["sweep", "--epsilons", "1,inf"],
         ["evaluate", "--synthetic", "s.jsonl", "--icl-shots", "abc"],
         ["sweep", "--epsilons", "1,x"],
+        ["generate", "--seed", "-1"],
     ])
     def test_fails_in_the_config_stage(self, tmp_path, capsys, monkeypatch, argv):
         calls = []
@@ -1260,6 +1269,48 @@ def test_corrupt_generate_manifest_fails_in_the_load_stage(generated, capsys, co
     if corruption.startswith("no-"):
         assert err.endswith(f": {manifest} has no key {key!r}\n")
     assert not (out / report).exists()
+
+
+# ---------------------------------------------------------------- noise subtraction
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 12: the dp-noise stream is derived from the seed that "
+    "manifest_generate.json publishes, so the released noise can be rebuilt"))
+@pytest.mark.parametrize("argv", [
+    ["--mechanism", "laplace", "--epsilon", "1"],
+    ["--mechanism", "gaussian", "--epsilon", "0.5"],
+], ids=["laplace-eps1", "gaussian-eps0.5"])
+def test_released_noise_cannot_be_subtracted(tmp_path, monkeypatch, argv):
+    true = []
+    build = cli_module.build_histogram
+
+    def spy(*args, **kwargs):
+        true.append(build(*args, **kwargs))
+        return true[-1]
+
+    monkeypatch.setattr(cli_module, "build_histogram", spy)
+    path = write_config(tmp_path, dataset_path="mock:96", n_train=48, n_test=48,
+                        gen={"total_records": 32, "batch_size": 8})
+    assert main(["generate", "--config", str(path), *argv]) == 0
+    # The attacker reads only the two published files.
+    released = read_json(tmp_path / "out" / "histogram_noisy.json")
+    seed = read_json(tmp_path / "out" / "manifest_generate.json")["config"]["seed"]
+    params = PrivacyParams(released["params"]["epsilon"], released["params"]["delta"],
+                           Mechanism(released["params"]["mechanism"]))
+    scale = noise_scale(params, SensitivityBound(**released["sensitivity"]))
+    sample = sample_laplace if params.mechanism is Mechanism.LAPLACE else sample_gaussian
+    cells = [(label, token, count) for label in LABELS
+             for token, count in sorted(released["per_class"][label.value].items())]
+    noise = sample(sub_rng(seed, "dp-noise"), scale, size=len(cells))
+    # A released 0 may be a clamped cell, which gives only an upper bound.
+    unclamped = recovered = 0
+    for (label, token, count), draw in zip(cells, noise):
+        if count > 0:
+            unclamped += 1
+            recovered += round(count - draw) == true[0].per_class[label][token]
+    assert len(true) == 1 and unclamped > 0
+    assert recovered <= 0.05 * unclamped, f"recovered {recovered} of {unclamped} cells"
 
 
 # ---------------------------------------------------------------- http replay

@@ -16,8 +16,6 @@ from dpsynth.dp import (
     TokenHistogram,
     build_histogram,
     charge,
-    gaussian_from_uniforms,
-    laplace_from_uniform,
     noise_scale,
     perturb_histogram,
     sample_gaussian,
@@ -102,42 +100,44 @@ def test_noise_scale_must_be_positive_and_finite(mechanism, epsilon):
 
 # ---------------------------------------------------------------- samplers
 
+class FixedUniforms:
+    """A generator stand-in whose ``random(size)`` returns chosen uniforms."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, size=None):
+        return self.values.reshape(() if size is None else size)
+
+
 def test_laplace_inverse_cdf_matches_scipy():
     u = np.linspace(-0.499999, 0.499999, 10001)
-    ours = laplace_from_uniform(u, 2.0)
+    ours = sample_laplace(FixedUniforms(u + 0.5), 2.0, size=u.size)
     reference = stats.laplace.ppf(u + 0.5, scale=2.0)
     assert np.allclose(ours, reference, rtol=1e-10, atol=1e-12)
 
 
 def test_laplace_endpoint_is_finite():
-    assert np.isfinite(laplace_from_uniform(-0.5, 1.0))
-    assert np.isfinite(laplace_from_uniform(np.array([-0.5]), 1.0)).all()
+    assert np.isfinite(sample_laplace(FixedUniforms([0.0]), 1.0))
+    assert np.isfinite(sample_laplace(FixedUniforms([0.0]), 1.0, size=1)).all()
 
 
-def test_laplace_scalar_matches_vector_stream():
-    scalars = [sample_laplace(make_rng(7), 2.0)]
-    rng = make_rng(7)
-    scalars = [sample_laplace(rng, 2.0) for _ in range(5)]
-    vector = sample_laplace(make_rng(7), 2.0, size=5)
-    assert np.allclose(scalars, vector)
-
-
-def test_gaussian_scalar_stream_differs_from_vector():
-    # scalar draws pair u1,u2 per value; the vectorized path draws all u1
-    # then all u2, so beyond size=1 the streams intentionally diverge
+@pytest.mark.parametrize("sample", [sample_laplace, sample_gaussian],
+                         ids=["laplace", "gaussian"])
+def test_draw_of_n_values_is_n_scalar_draws(sample):
     rng = make_rng(11)
-    scalars = [sample_gaussian(rng, 1.0) for _ in range(4)]
-    vector = sample_gaussian(make_rng(11), 1.0, size=4)
-    size_one = sample_gaussian(make_rng(11), 1.0, size=1)
-    assert sample_gaussian(make_rng(11), 1.0) == pytest.approx(float(size_one[0]))
-    assert not np.allclose(scalars, vector)
+    scalars = [sample(rng, 1.5) for _ in range(64)]
+    assert all(type(x) is np.float64 for x in scalars)
+    assert np.array_equal(scalars, sample(make_rng(11), 1.5, size=64))
 
 
 def test_box_muller_known_values():
-    # u2 = 0 gives cos(0) = 1, so the draw is sigma * sqrt(-2 ln u1)
-    assert gaussian_from_uniforms(1.0, 0.0, 3.0) == pytest.approx(0.0)
-    assert gaussian_from_uniforms(math.exp(-0.5), 0.0, 3.0) == pytest.approx(3.0)
-    assert gaussian_from_uniforms(math.exp(-0.5), 0.5, 3.0) == pytest.approx(-3.0)
+    # The generator's uniforms are (1 - u1, u2). u2 = 0 gives cos(0) = 1, so
+    # the draw is sigma * sqrt(-2 ln u1).
+    assert sample_gaussian(FixedUniforms([0.0, 0.0]), 3.0) == pytest.approx(0.0)
+    assert sample_gaussian(FixedUniforms([1 - math.exp(-0.5), 0.0]), 3.0) == pytest.approx(3.0)
+    pairs = FixedUniforms([0.0, 0.0, 1 - math.exp(-0.5), 0.0, 1 - math.exp(-0.5), 0.5])
+    assert np.allclose(sample_gaussian(pairs, 3.0, size=3), [0.0, 3.0, -3.0])
 
 
 def test_sampler_distributions_ks():
@@ -263,6 +263,7 @@ def test_ledger_accumulates_sequential_composition():
     blob = ledger.to_json_dict()
     assert blob["spent_epsilon"] == pytest.approx(1.5)
     assert len(blob["entries"]) == 2
+    assert BudgetLedger.from_json_dict(json.loads(json.dumps(blob))) == ledger
 
 
 def test_charge_does_not_mutate_input_ledger():
