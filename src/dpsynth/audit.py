@@ -15,7 +15,8 @@ import numpy as np
 
 from .corpus import LABELS, Corpus
 from .evaluation.features import TfIdfModel, transform_corpus
-from .evaluation.linear import LinearModel, probabilities
+from .evaluation.linear import LinearModel, scores
+from .evaluation.mnb import softmax
 from .rngutil import sub_rng
 
 
@@ -48,14 +49,12 @@ class LeakageReport:
 
 
 def _true_label_confidences(model: LinearModel, X, label_ids: np.ndarray) -> np.ndarray:
-    """Probability the model's link assigns to each row's true label; labels
-    the model never saw get confidence 0."""
+    """The MNB posterior of each row's true label, the softmax of its scores;
+    labels the model never saw get confidence 0."""
     column = np.full(len(LABELS), -1)
     column[model.classes] = np.arange(len(model.classes))
     cols = column[label_ids]
-    out = np.where(cols >= 0, probabilities(model, X)[np.arange(len(cols)), cols], 0.0)
-    # guard against sigmoid round-off nudging past 1
-    return np.clip(out, 0.0, 1.0)
+    return np.where(cols >= 0, softmax(scores(model, X))[np.arange(len(cols)), cols], 0.0)
 
 
 def _distinct_and_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

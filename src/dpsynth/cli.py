@@ -346,14 +346,16 @@ def _make_client(config: ExperimentConfig):
     )
 
 
-def _load_synthetic(path: str | Path) -> tuple[Corpus, BudgetLedger, dict]:
+def _load_synthetic(path: str | Path,
+                    config: ExperimentConfig) -> tuple[Corpus, BudgetLedger, dict]:
     """A synthetic corpus, the budget spent producing it, and the manifest
     notes on where it came from.
 
     The budget is read from manifest_generate.json next to the file, when
     that manifest's synthetic output has the file's name. Otherwise the
     ledger is empty and the notes flag the provenance as unknown; a
-    manifest that cannot be read as outputs and a ledger raises.
+    manifest that cannot be read as outputs and a ledger raises. A known
+    file made from another split than ``config``'s raises too.
     """
     with stage("load-synthetic"):
         corpus = load_agnews(path)
@@ -366,6 +368,10 @@ def _load_synthetic(path: str | Path) -> tuple[Corpus, BudgetLedger, dict]:
                 known = Path(data["outputs"]["synthetic"]).name == Path(path).name
                 if known:
                     ledger = BudgetLedger.from_json_dict(data["budget_ledger"])
+                    differ = [key for key in ("dataset_path", "n_train", "n_test", "seed")
+                              if data["config"][key] != getattr(config, key)]
+                    if differ:
+                        raise ValueError(f"{sibling} records another split: {', '.join(differ)}")
             except KeyError as exc:
                 raise ValueError(f"{sibling} has no key {exc.args[0]!r}") from None
     notes = {"synthetic_file": str(path), "synthetic_provenance_known": known}
@@ -503,7 +509,7 @@ def cmd_evaluate(config: ExperimentConfig, synthetic_file: str | Path) -> dict:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     train, test = _load_original(config)
-    synthetic, ledger, notes = _load_synthetic(synthetic_file)
+    synthetic, ledger, notes = _load_synthetic(synthetic_file, config)
 
     fp = config.fingerprint()
     classifiers: dict[str, tuple[EvalReport, EvalReport]] = {}
@@ -641,7 +647,7 @@ def cmd_audit(config: ExperimentConfig, synthetic_file: str | Path) -> dict:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     train, test = _load_original(config)
-    synthetic, ledger, notes = _load_synthetic(synthetic_file)
+    synthetic, ledger, notes = _load_synthetic(synthetic_file, config)
 
     with stage("train-models"):
         features_orig, model_orig = _fit("mnb", train)
@@ -674,7 +680,8 @@ def cmd_audit(config: ExperimentConfig, synthetic_file: str | Path) -> dict:
 
 def build_parser() -> argparse.ArgumentParser:
     """The four subcommands. Each flag's dest is the config key it sets,
-    dotted inside ``backend`` or ``gen``; a flag left off sets nothing."""
+    dotted inside ``backend`` or ``gen``; a flag left off sets nothing. A
+    command takes only the flags of keys it reads, and the cache flags."""
     parser = argparse.ArgumentParser(
         prog="dpsynth",
         description="Privacy-preserving synthetic news text: generate, evaluate, sweep, audit.",
@@ -695,21 +702,22 @@ def build_parser() -> argparse.ArgumentParser:
     every = " ".join(commands)
     flag(every, "--config", help="JSON config file")
     flag(every, "--seed", type=int)
-    flag(every, "--backend", choices=["mock", "http"], dest="backend.kind")
-    flag(every, "--endpoint", dest="backend.endpoint_url", help="http backend endpoint URL")
-    flag(every, "--model", dest="backend.model_name", help="http backend model name")
-    flag(every, "--epsilon", type=float)
-    flag(every, "--mechanism", choices=["laplace", "gaussian"])
-    flag(every, "--delta", type=float)
     flag(every, "--out", dest="output_dir", help="output directory")
     flag(every, "--dataset", dest="dataset_path", help="AGNews file path or mock:<N>")
     flag(every, "--n-train", type=int)
     flag(every, "--n-test", type=int)
-    flag(every, "--vocab-limit", type=int)
     flag(every, "--no-cache", action="store_false", dest="cache_enabled")
     flag(every, "--cache-dir")
-    flag("generate sweep", "--total-records", type=int, dest="gen.total_records")
-    flag("generate sweep", "--batch-size", type=int, dest="gen.batch_size")
+    backed, release = "generate evaluate sweep", "generate sweep"
+    flag(backed, "--backend", choices=["mock", "http"], dest="backend.kind")
+    flag(backed, "--endpoint", dest="backend.endpoint_url", help="http backend endpoint URL")
+    flag(backed, "--model", dest="backend.model_name", help="http backend model name")
+    flag("generate", "--epsilon", type=float)
+    flag(release, "--mechanism", choices=["laplace", "gaussian"])
+    flag(release, "--delta", type=float)
+    flag(release, "--vocab-limit", type=int)
+    flag(release, "--total-records", type=int, dest="gen.total_records")
+    flag(release, "--batch-size", type=int, dest="gen.batch_size")
     flag("generate", "--num-shots", type=int, dest="gen.num_shots")
     flag("evaluate audit", "--synthetic", required=True, help="synthetic JSONL file")
     flag("evaluate sweep", "--models", help="comma list from mnb,svm,icl")

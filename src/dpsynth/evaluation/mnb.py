@@ -6,9 +6,9 @@ additively smoothed ratios of accumulated tf-idf mass:
     P(t | c) = (mass(t, c) + alpha) / (sum_t mass(t, c) + alpha * |V|)
 
 so each class's token distribution sums to exactly 1. The model is a
-LinearModel in log space: its weights are the log token probabilities, its
-biases the log priors, and its link the softmax that turns the resulting
-unnormalized log posteriors into posteriors.
+LinearModel in log space: its weights are the log token probabilities and its
+biases the log priors, so its scores are unnormalized log posteriors and
+their softmax is the posterior.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ def train_mnb(train: Corpus, features: TfIdfModel, alpha: float = 1.0) -> Linear
     log_prob = np.log(mass + alpha) - np.log(mass.sum(axis=1, keepdims=True)
                                              + alpha * features.n_features)
     log_prior = np.log(np.bincount(y) / len(y))
-    return LinearModel(classes=classes, weights=log_prob, biases=log_prior, link=softmax)
+    return LinearModel(classes=classes, weights=log_prob, biases=log_prior)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:

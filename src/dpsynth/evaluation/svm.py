@@ -17,9 +17,7 @@ Reaching MAX_NEWTON_STEPS first raises RuntimeError.
 
 The solve is deterministic; the seed only draws the validation split. Model
 selection tries the C grid on that held-out slice (ties prefer the smaller
-C), then refits on the full training set. The result is a LinearModel whose
-link squashes each margin through the logistic and normalises across
-classes, so the audit reads class probabilities off any SVM.
+C), then refits on the full training set. The result is a LinearModel.
 """
 from __future__ import annotations
 
@@ -184,18 +182,4 @@ def train_svm(
                 best_c = c_value
 
     weights, biases = _fit_ovr(X, y, n_classes, best_c)
-    return LinearModel(classes=classes, weights=weights, biases=biases,
-                       link=normalized_logistic)
-
-
-def normalized_logistic(margins: np.ndarray) -> np.ndarray:
-    """Each margin through the logistic, normalised across classes, so a
-    zero-weight model gives every class the same probability."""
-    squashed = _logistic(margins)
-    return squashed / squashed.sum(axis=1, keepdims=True)
-
-
-def _logistic(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)), computed from exp(-|x|) so no margin overflows."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return LinearModel(classes=classes, weights=weights, biases=biases)

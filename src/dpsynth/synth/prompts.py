@@ -8,6 +8,7 @@ slots.
 """
 from __future__ import annotations
 
+import re
 from importlib import resources
 
 from ..corpus import LABELS, ClassLabel, NewsRecord
@@ -25,9 +26,9 @@ PROMPT_LABEL = {
     ClassLabel.SCITECH: "Sci/Tech",
 }
 
-# Removed wholesale for zero-shot prompts: a demonstrations header with no
-# demonstrations would be malformed.
-_DEMO_SECTION = "Here are some demonstrations:\n\n" + DEMOS_SLOT + "\n\n"
+# A template's demonstrations header line and slot, removed together when
+# there are no demonstrations: a header with nothing under it is malformed.
+_DEMO_SECTION = re.compile(r"^.*\n\n" + re.escape(DEMOS_SLOT) + r"\n\n", re.MULTILINE)
 
 CLASSIFICATION_HEAD = "You are a helpful assistant."
 
@@ -49,6 +50,12 @@ def render_demo_block(demos: list[NewsRecord] | tuple[NewsRecord, ...]) -> str:
     return "\n\n".join(render_demo(d) for d in demos)
 
 
+def _fill_demos(template: str, demos: list[NewsRecord]) -> str:
+    """``template`` with its demos slot filled, or its demos section gone if none."""
+    return (template.replace(DEMOS_SLOT, render_demo_block(demos)) if demos
+            else _DEMO_SECTION.sub("", template))
+
+
 def build_generation_prompt(demos, n: int) -> str:
     """Instantiate the generation template with demos and a record count.
 
@@ -64,17 +71,11 @@ def build_generation_prompt(demos, n: int) -> str:
         missing = [label.value for label in LABELS if label not in present]
         if missing:
             raise ValueError(f"no demonstration for: {', '.join(missing)}")
-    prompt = GENERATION_TEMPLATE.replace(DEMOS_SLOT, render_demo_block(demos))
-    return prompt.replace(NUMBER_SLOT, str(n))
+    return _fill_demos(GENERATION_TEMPLATE, demos).replace(NUMBER_SLOT, str(n))
 
 
 def build_classification_prompt(demos, query: NewsRecord) -> str:
     """Instantiate the classification template for one query record."""
-    demos = list(demos)
-    prompt = CLASSIFICATION_TEMPLATE
-    if demos:
-        prompt = prompt.replace(DEMOS_SLOT, render_demo_block(demos))
-    else:
-        prompt = prompt.replace(_DEMO_SECTION, "")
+    prompt = _fill_demos(CLASSIFICATION_TEMPLATE, list(demos))
     query_text = f"Title: {query.title}\nDescription: {query.description}"
     return prompt.replace(QUERY_SLOT, query_text)

@@ -39,8 +39,8 @@ from dpsynth.dp import (
     sample_laplace,
 )
 from dpsynth.evaluation.features import fit_tfidf, transform, transform_corpus
-from dpsynth.evaluation.linear import predict, probabilities
-from dpsynth.evaluation.mnb import train_mnb
+from dpsynth.evaluation.linear import predict, scores
+from dpsynth.evaluation.mnb import softmax, train_mnb
 from dpsynth.evaluation.report import evaluate
 from dpsynth.evaluation.svm import train_svm
 from dpsynth.rngutil import make_rng, sub_rng, subseed
@@ -387,7 +387,7 @@ def test_permutation_null_advantage_is_small(announce):
     train = mock_original_corpus(30, seed=78)
     features = fit_tfidf(train)
     model = train_mnb(train, features)
-    posterior = probabilities(model, transform_corpus(features, pool))
+    posterior = softmax(scores(model, transform_corpus(features, pool)))
     idx = np.array([list(model.classes).index(LABELS.index(r.label)) for r in pool.records])
     confidences = posterior[np.arange(len(idx)), idx]
 

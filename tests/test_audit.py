@@ -17,9 +17,8 @@ from dpsynth.audit import (
 )
 from dpsynth.corpus import LABELS, ClassLabel, Corpus
 from dpsynth.evaluation.features import fit_tfidf, transform_corpus
-from dpsynth.evaluation.linear import probabilities
-from dpsynth.evaluation.mnb import train_mnb
-from dpsynth.evaluation.svm import _logistic, train_svm
+from dpsynth.evaluation.linear import scores
+from dpsynth.evaluation.mnb import softmax, train_mnb
 from dpsynth.rngutil import make_rng, subseed
 from dpsynth.synth.mock import mock_original_corpus
 
@@ -118,13 +117,11 @@ class TestCollectConfidences:
     def test_confidences_lie_in_unit_interval(self):
         members = mock_original_corpus(4, seed=5)
         nonmembers = mock_original_corpus(3, seed=6)
-        features = fit_tfidf(members)
-        svm = train_svm(members, features, c_grid=(1.0,))
-        models = [train_mnb(members, features)]
-        # huge margins push the sigmoid to exactly 0 and 1
-        models += [dataclasses.replace(svm, weights=svm.weights * scale,
-                                       biases=svm.biases * scale)
-                   for scale in (0.0, 1.0, 1e3, 1e6)]
+        mnb, features = self.fitted_mnb(members)
+        # huge scores push the softmax to exactly 0 and 1
+        models = [dataclasses.replace(mnb, weights=mnb.weights * scale,
+                                      biases=mnb.biases * scale)
+                  for scale in (0.0, 1.0, 1e3, 1e6)]
         for model in models:
             m, n = collect_confidences(model, features, members, nonmembers)
             both = np.concatenate([m, n])
@@ -141,7 +138,7 @@ class TestCollectConfidences:
         assert not np.array_equal(m1, m3)
         # order: the kept confidences are a subsequence of every member's
         # confidence in corpus order
-        posterior = probabilities(model, transform_corpus(features, members))
+        posterior = softmax(scores(model, transform_corpus(features, members)))
         full = [posterior[i, list(model.classes).index(LABELS.index(r.label))]
                 for i, r in enumerate(members.records)]
         it = iter(full)
@@ -157,19 +154,10 @@ class TestCollectConfidences:
         # the uniform floor on average
         assert float(np.mean(m)) > 0.25
 
-    def test_svm_confidences_in_range(self):
-        members = mock_original_corpus(4, seed=5)
-        nonmembers = mock_original_corpus(4, seed=6)
-        features = fit_tfidf(members)
-        model = train_svm(members, features, c_grid=(1.0,))
-        m, n = collect_confidences(model, features, members, nonmembers)
-        assert np.all((m >= 0.0) & (m <= 1.0)) and np.all((n >= 0.0) & (n <= 1.0))
-
-    def test_zero_weight_svm_gives_uniform_confidence(self):
+    def test_zero_weight_mnb_gives_uniform_confidence(self):
         members = mock_original_corpus(2, seed=7)
         nonmembers = mock_original_corpus(2, seed=8)
-        features = fit_tfidf(members)
-        model = train_svm(members, features, c_grid=(1.0,))
+        model, features = self.fitted_mnb(members)
         flat = dataclasses.replace(model, weights=np.zeros_like(model.weights),
                                    biases=np.zeros_like(model.biases))
         m, n = collect_confidences(flat, features, members, nonmembers)
@@ -188,7 +176,7 @@ class TestCollectConfidences:
 
 
 class TestNumpyHelpers:
-    """The audit's own rank and the SVM link's sigmoid agree with scipy's."""
+    """The audit's own rank agrees with scipy's."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_average_ranks_match_rankdata(self, seed):
@@ -201,21 +189,6 @@ class TestNumpyHelpers:
         distinct, ranks = _distinct_and_ranks(values)
         assert np.array_equal(distinct, np.unique(values))
         assert np.array_equal(ranks, rankdata(values, method="average"))
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_logistic_matches_expit(self, seed):
-        from scipy.special import expit
-
-        rng = make_rng(seed)
-        margins = np.concatenate([
-            rng.normal(0.0, 5.0, size=(500, 4)).ravel(),
-            rng.uniform(-1000.0, 1000.0, size=2000),
-            [-1000.0, -745.0, -40.0, 0.0, 40.0, 745.0, 1000.0],
-        ])
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            ours = _logistic(margins)
-        np.testing.assert_allclose(ours, expit(margins), rtol=1e-12, atol=1e-300)
-        assert ours.min() >= 0.0 and ours.max() <= 1.0
 
 
 class TestCompareLeakage:

@@ -339,17 +339,18 @@ def test_formats_doc_shows_exactly_the_request_fields():
 ALL_COMMANDS = "generate evaluate sweep audit"
 FLAG_TABLE = [
     (ALL_COMMANDS, ["--seed", "7"], "seed", 7),
-    (ALL_COMMANDS, ["--backend", "mock"], "backend.kind", "mock"),
-    (ALL_COMMANDS, ["--endpoint", "http://flag/v1"], "backend.endpoint_url", "http://flag/v1"),
-    (ALL_COMMANDS, ["--model", "flag-model"], "backend.model_name", "flag-model"),
-    (ALL_COMMANDS, ["--epsilon", "2.5"], "epsilon", 2.5),
-    (ALL_COMMANDS, ["--mechanism", "laplace"], "mechanism", "laplace"),
-    (ALL_COMMANDS, ["--delta", "1e-6"], "delta", 1e-6),
+    ("generate evaluate sweep", ["--backend", "mock"], "backend.kind", "mock"),
+    ("generate evaluate sweep", ["--endpoint", "http://flag/v1"],
+     "backend.endpoint_url", "http://flag/v1"),
+    ("generate evaluate sweep", ["--model", "flag-model"], "backend.model_name", "flag-model"),
+    ("generate", ["--epsilon", "2.5"], "epsilon", 2.5),
+    ("generate sweep", ["--mechanism", "laplace"], "mechanism", "laplace"),
+    ("generate sweep", ["--delta", "1e-6"], "delta", 1e-6),
     (ALL_COMMANDS, ["--out", "flag-out"], "output_dir", "flag-out"),
     (ALL_COMMANDS, ["--dataset", "mock:8"], "dataset_path", "mock:8"),
     (ALL_COMMANDS, ["--n-train", "40"], "n_train", 40),
     (ALL_COMMANDS, ["--n-test", "12"], "n_test", 12),
-    (ALL_COMMANDS, ["--vocab-limit", "99"], "vocab_limit", 99),
+    ("generate sweep", ["--vocab-limit", "99"], "vocab_limit", 99),
     (ALL_COMMANDS, ["--no-cache"], "cache_enabled", False),
     (ALL_COMMANDS, ["--cache-dir", "flag-cache"], "cache_dir", "flag-cache"),
     ("generate sweep", ["--total-records", "44"], "gen.total_records", 44),
@@ -1126,7 +1127,7 @@ class TestOutputDirectory:
         ("generate", ["--mechanism", "gaussian", "--epsilon", "2"]),
         ("evaluate", ["--models", ""]),
         ("sweep", ["--epsilons", "1"]),
-        ("audit", ["--vocab-limit", "0"]),
+        ("audit", ["--seed", "-1"]),
     ])
     def test_invalid_config_leaves_no_output_dir(self, tmp_path, capsys, command, argv):
         path = write_config(tmp_path)
@@ -1242,7 +1243,7 @@ class TestCmdAudit:
 
 
 @pytest.mark.parametrize("corruption", ["truncated", "epsilon-not-a-number", "no-budget-ledger",
-                                        "no-outputs"])
+                                        "no-outputs", "no-config"])
 @pytest.mark.parametrize("command, report", [("evaluate", "evaluation.json"),
                                              ("audit", "audit.json")])
 def test_corrupt_generate_manifest_fails_in_the_load_stage(generated, capsys, corruption,
@@ -1269,6 +1270,21 @@ def test_corrupt_generate_manifest_fails_in_the_load_stage(generated, capsys, co
     if corruption.startswith("no-"):
         assert err.endswith(f": {manifest} has no key {key!r}\n")
     assert not (out / report).exists()
+
+
+@pytest.mark.parametrize("argv, key", [(["--seed", "8"], "seed"), (["--n-train", "20"], "n_train")])
+@pytest.mark.parametrize("command", ["evaluate", "audit"])
+def test_synthetic_file_from_another_split_fails_in_the_load_stage(generated, capsys, command,
+                                                                   argv, key):
+    # mock:<N> is drawn from the seed and the split from the seed and sizes,
+    # so another seed or size would attack or score records the release never saw.
+    path, out = generated
+    assert main([command, "--config", str(path), "--synthetic", str(out / "synthetic.jsonl"),
+                 *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'load-synthetic': ") and err.count("\n") == 1
+    assert err.endswith(f"{out / 'manifest_generate.json'} records another split: {key}\n")
+    assert not (out / f"manifest_{command}.json").exists()
 
 
 # ---------------------------------------------------------------- noise subtraction

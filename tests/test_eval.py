@@ -15,8 +15,8 @@ from dpsynth.corpus import _LABEL_ALIASES, LABELS, ClassLabel, Corpus, tokenize
 from dpsynth.evaluation import svm as svm_module
 from dpsynth.evaluation.features import fit_tfidf, transform, transform_corpus
 from dpsynth.evaluation.icl import VALID_SHOTS, icl_evaluate, parse_label_response
-from dpsynth.evaluation.linear import predict, probabilities, scores
-from dpsynth.evaluation.mnb import train_mnb
+from dpsynth.evaluation.linear import predict, scores
+from dpsynth.evaluation.mnb import softmax, train_mnb
 from dpsynth.evaluation.report import (
     EvalReport,
     evaluate,
@@ -231,7 +231,7 @@ class TestMnb:
         corpus = mock_original_corpus(4, seed=3)
         features = fit_tfidf(corpus)
         model = train_mnb(corpus, features)
-        post = probabilities(model, transform_corpus(features, corpus))
+        post = softmax(scores(model, transform_corpus(features, corpus)))
         assert post.shape == (len(corpus.records), 4)
         assert np.allclose(post.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(post >= 0)
@@ -533,14 +533,6 @@ class TestLinearModel:
         biases[-2:] = 1.0
         tied = dataclasses.replace(flat, biases=biases)
         assert set(predict(tied, X).tolist()) == {int(flat.classes[-2])}
-
-    @pytest.mark.parametrize("name", ["mnb", "svm"])
-    def test_probability_rows_sum_to_one(self, fitted, name):
-        models, X = fitted
-        probs = probabilities(models[name], X)
-        assert probs.shape == (X.shape[0], len(models[name].classes))
-        assert np.all(probs >= 0.0)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 @given(labels=st.lists(st.sampled_from(LABELS), min_size=1, max_size=40), data=st.data())

@@ -70,6 +70,7 @@ from dpsynth.synth.prompts import (
     build_classification_prompt,
     build_generation_prompt,
     render_demo,
+    render_demo_block,
 )
 from dpsynth.synth.reconcile import count_vocab_tokens, reconcile_corpus
 
@@ -101,10 +102,19 @@ class TestPrompts:
         assert prompt + "\n" == (GOLDEN / "icl_prompt_4shot.txt").read_text(encoding="utf-8")
 
     def test_zero_shot_prompt_drops_demo_section(self):
-        prompt = build_classification_prompt([], ICL_QUERY)
-        assert prompt + "\n" == (GOLDEN / "icl_prompt_0shot.txt").read_text(encoding="utf-8")
-        assert "demonstrations" not in prompt
-        assert "###" not in prompt
+        # Both templates follow one rule: with no demos, the header line goes
+        # with the slot.
+        generation = (GOLDEN / "generation_prompt.txt").read_text(encoding="utf-8")
+        section = "Here is some example:\n\n" + render_demo_block(GENERATION_DEMOS) + "\n\n"
+        assert section in generation
+        for prompt, expected in (
+            (build_classification_prompt([], ICL_QUERY),
+             (GOLDEN / "icl_prompt_0shot.txt").read_text(encoding="utf-8")),
+            (build_generation_prompt([], 10), generation.replace(section, "")),
+        ):
+            assert prompt + "\n" == expected
+            assert "demonstrations" not in prompt and "example" not in prompt
+            assert "###" not in prompt
 
     def test_two_shot_prompt_matches_golden(self):
         prompt = build_classification_prompt(ICL_DEMOS[:2], ICL_QUERY)
