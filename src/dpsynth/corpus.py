@@ -23,7 +23,8 @@ import numpy as np
 
 from .rngutil import make_rng
 
-# Bump when tokenize() changes; embedded in histogram fingerprints.
+# Embedded in histogram fingerprints. Bump it when tokenize()'s tokens
+# change, not when its implementation does.
 TOKENIZER_ID = "unigram-lower-min2-v1"
 
 
@@ -242,15 +243,26 @@ def sample_split(corpus: Corpus, n_train: int, n_test: int, seed: int) -> tuple[
 # Whole alphanumeric runs of length >= 2: a shorter run never matches and a
 # longer one is never matched in part, so no filtering pass is needed.
 _TOKEN_RE = re.compile(r"[^\W_]{2,}", re.UNICODE)
+# Every non-alphanumeric ASCII character to a space; fixed, so it never grows.
+_ASCII_SPACES = str.maketrans({c: " " for c in map(chr, range(128)) if not c.isalnum()})
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on non-alphanumeric runs, drop tokens shorter than 2.
 
+    Lowercased ASCII text is split by one translate to spaces, other text by
+    ``_TOKEN_RE``; both give the same tokens, because ``str.isalnum`` is the
+    class ``[^\\W_]`` on every code point and no alphanumeric is a space.
     Idempotent on its own space-joined output, which is what lets corpus
     reconciliation re-render edited records without disturbing counts.
     """
-    return _TOKEN_RE.findall(text.lower())
+    text = text.lower()
+    if not text.isascii():
+        return _TOKEN_RE.findall(text)
+    words = text.translate(_ASCII_SPACES).split()
+    if words and min(map(len, words)) < 2:
+        return [w for w in words if len(w) >= 2]
+    return words
 
 
 @dataclass(frozen=True)

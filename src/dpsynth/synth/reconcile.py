@@ -11,11 +11,14 @@ touched.
 Each record is one token list: its title, a cut, then its description. Each
 class is edited from an index of (record, position) occurrences built in one
 pass over its lists. All of a class's deletions come first; then every
-missing copy gets its record, and each receiving record takes all of its
-copies in one merge. The merge has the law of that many sequential inserts at
-uniform boundaries: before any token or the cut, never after the list's last
-entry. The render splits the list at the cut, moved past the first token when
-the title is empty and a token is left.
+missing copy gets its record, one count over (record, token) groups the
+copies by record, and one pass over an object array merges every receiving
+record's copies into its list. A record's copies take an ordered sample of
+distinct slots of its merged list, all but the last, and its old entries fill
+the rest in order: the law of that many sequential inserts at uniform
+boundaries, before any token or the cut, never after the list's last entry.
+The render splits the list at the cut, moved past the first token when the
+title is empty and a token is left.
 
 Edited records are re-rendered as space-joined token sequences; tokenize()
 is idempotent on exactly that form, which is what makes the recount land on
@@ -25,8 +28,9 @@ The generator is consumed single-threaded in a fixed order. Classes go in
 enum order. Within a class: one draw of the occurrences to delete per
 over-full cell, tokens lexicographically; one draw of the target records of
 all the class's missing copies (copies listed by token, lexicographically);
-then one draw of slots per receiving record, in record order. A seeded
-generator therefore reproduces the edit sequence exactly.
+then one draw of slots per receiving record, in record order. The grouping
+and the merge draw nothing. A seeded generator therefore reproduces the edit
+sequence exactly.
 """
 from __future__ import annotations
 
@@ -70,7 +74,7 @@ def reconcile_corpus(
                     hits.append((i, pos))
 
         doomed: dict = {}
-        copies = []
+        needed = {}
         for token in sorted(cells):
             hits = occurrences[token]
             surplus = len(hits) - cells[token]
@@ -79,23 +83,44 @@ def reconcile_corpus(
                     i, pos = hits[j]
                     doomed.setdefault(i, set()).add(pos)
             elif surplus < 0:
-                copies.extend([token] * -surplus)
+                needed[token] = -surplus
         for i, positions in doomed.items():
             seqs[i] = [word for pos, word in enumerate(seqs[i]) if pos not in positions]
             edited.add(i)
 
-        if not copies:
+        if not needed:
             continue
         if not idx:
             raise ValueError(
                 f"class {label.value} has no records to absorb insertions"
             )
-        received: dict = {}
-        for token, r in zip(copies, rng.integers(0, len(idx), size=len(copies)).tolist()):
-            received.setdefault(idx[r], []).append(token)
-        for i in sorted(received):
-            seqs[i] = _merge(seqs[i], received[i], rng)
-            edited.add(i)
+        # Copy c is token tok[c] (copies listed by token) and goes to record
+        # idx[r[c]]; counting (record, token) cells lists each record's copies
+        # in that order.
+        n_tokens = len(needed)
+        tok = np.repeat(np.arange(n_tokens), list(needed.values()))
+        r = rng.integers(0, len(idx), size=len(tok))
+        counts = np.bincount(r * n_tokens + tok, minlength=len(idx) * n_tokens)
+        cell = np.repeat(np.arange(counts.size), counts)
+        per_record = counts.reshape(len(idx), n_tokens).sum(axis=1).tolist()
+        takers = [i for i, n in zip(idx, per_record) if n]
+        n_copies = [n for n in per_record if n]
+        # Record i's merged list is merged[start:start + size]: its copies take
+        # an ordered sample of distinct slots, all but the last, and its old
+        # entries fill the rest in order.
+        sizes = [len(seqs[i]) + n for i, n in zip(takers, n_copies)]
+        starts = np.cumsum([0] + sizes).tolist()
+        slots = np.concatenate([start + rng.choice(size - 1, size=n, replace=False)
+                                for n, start, size in zip(n_copies, starts, sizes)])
+        merged = np.empty(starts[-1], dtype=object)
+        merged[slots] = np.array(list(needed), dtype=object)[cell % n_tokens]
+        old = np.ones(len(merged), dtype=bool)
+        old[slots] = False
+        merged[old] = [word for i in takers for word in seqs[i]]
+        merged = merged.tolist()
+        for i, start, size in zip(takers, starts, sizes):
+            seqs[i] = merged[start:start + size]
+        edited.update(takers)
 
     records = list(synthetic.records)
     for i in edited:
@@ -113,25 +138,6 @@ def reconcile_corpus(
     del seqs  # freed before the recount, which tokenizes the result afresh
     _verify_counts(result, target)
     return result
-
-
-def _merge(seq: list, new: list, rng: np.random.Generator) -> list:
-    """Insert the ``new`` tokens into one record's token list in a single pass.
-
-    Same law as len(new) sequential inserts, each at a uniform boundary
-    before a title token, the title/description cut or a description token:
-    the copies take a uniform set of slots of the merged list, in uniform
-    order, and the last slot keeps the list's last entry, so nothing lands
-    after the last description token, nor in an emptied description.
-    """
-    merged = [None] * (len(seq) + len(new))
-    # An ordered sample of distinct slots is a uniform slot set and a
-    # uniform order of the copies in one draw.
-    slots = rng.choice(len(merged) - 1, size=len(new), replace=False)
-    for slot, token in zip(slots.tolist(), new):
-        merged[slot] = token
-    rest = iter(seq)
-    return [word if word is not None else next(rest) for word in merged]
 
 
 def count_vocab_tokens(corpus: Corpus, target: TokenHistogram) -> dict:

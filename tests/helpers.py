@@ -18,6 +18,7 @@ from dpsynth.corpus import (
     NewsRecord,
     tokenize,
 )
+from dpsynth.dp import Mechanism, noise_scale, sample_gaussian, sample_laplace
 
 # ---------------------------------------------------------------- builders
 
@@ -194,3 +195,18 @@ def class_counts_restricted(corpus: Corpus, vocab_by_class: dict) -> dict:
 
 def laplace_pdf(z: float, mu: float, b: float) -> float:
     return math.exp(-abs(z - mu) / b) / (2 * b)
+
+
+def vector_releases(histogram, params, sensitivity, rng, n: int):
+    """``n`` releases of ``histogram`` from one draw of n x cells noise values.
+
+    Returns the cells, as (label, token) in ``perturb_histogram``'s order,
+    and the (n, cells) array of released counts: the true counts plus the
+    noise, rounded half to even and clamped at 0. Equal, bit for bit, to n
+    sequential ``perturb_histogram`` calls on ``rng``."""
+    cells = [(label, token) for label in LABELS
+             for token in sorted(histogram.per_class.get(label, {}))]
+    true = np.array([histogram.per_class[label][token] for label, token in cells], dtype=float)
+    draw = sample_laplace if params.mechanism is Mechanism.LAPLACE else sample_gaussian
+    noise = draw(rng, noise_scale(params, sensitivity), size=n * len(cells))
+    return cells, np.maximum(0.0, np.rint(true + noise.reshape(n, len(cells)))).astype(np.int64)

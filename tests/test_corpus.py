@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpsynth import corpus as corpus_module
 from dpsynth.corpus import (
     LABELS,
     TOKENIZER_ID,
@@ -311,6 +312,27 @@ def test_tokenize_properties(s):
 def test_tokenize_keeps_alphanumeric_runs_of_two_or_more(s):
     runs = re.findall(r"[^\W_]+", s.lower())
     assert tokenize(s) == [t for t in runs if len(t) >= 2]
+
+
+SPEC_RUNS = re.compile(r"[^\W_]+")
+
+
+def spec_tokens(s: str) -> list[str]:
+    return [t for t in SPEC_RUNS.findall(s.lower()) if len(t) >= 2]
+
+
+def test_tokenize_matches_the_spec_on_every_code_point():
+    # Lowercased ASCII text takes the translate branch, other text the regex
+    # branch. The string of all code points takes the regex; each short
+    # string below takes the branch its one code point selects, alone or
+    # beside a 1-character word.
+    everything = "".join(map(chr, range(0x110000)))
+    assert tokenize(everything) == spec_tokens(everything)
+    assert [hex(c) for c in range(0x110000)
+            if tokenize(s := chr(c) * 2 + " a" + chr(c)) != spec_tokens(s)] == []
+    # The translate table is the fixed ASCII one, so tokenizing grows nothing.
+    assert corpus_module._ASCII_SPACES == {
+        c: " " for c in range(128) if not chr(c).isalnum()}
 
 
 # ---------------------------------------------------------------- histogram

@@ -23,7 +23,7 @@ from dpsynth.dp import (
 )
 from dpsynth.rngutil import make_rng
 
-from helpers import corp, laplace_pdf, rec
+from helpers import corp, laplace_pdf, rec, vector_releases
 
 
 # ---------------------------------------------------------------- params
@@ -193,6 +193,28 @@ def test_perturb_histogram_deterministic():
     assert a.vocab_limit == h.vocab_limit
     assert a.fingerprint == h.fingerprint
     assert a.params == _params()
+
+
+N_VECTOR = 50
+
+
+@pytest.mark.parametrize("params", [
+    PrivacyParams(epsilon=1.0),
+    PrivacyParams(epsilon=0.5, delta=1e-5, mechanism=Mechanism.GAUSSIAN),
+], ids=["laplace", "gaussian"])
+def test_sequential_releases_are_one_vector_draw(params):
+    # At the default sensitivity the noise is wide: cells are clamped to 0
+    # in some releases and not in others.
+    h = _hist()
+    rng = make_rng(31)
+    sequential = [perturb_histogram(h, params, DEFAULT_SENSITIVITY, rng) for _ in range(N_VECTOR)]
+    vector_rng = make_rng(31)
+    cells, released = vector_releases(h, params, DEFAULT_SENSITIVITY, vector_rng, N_VECTOR)
+    assert released.shape == (N_VECTOR, 5)
+    assert released.tolist() == [[r.per_class[label][token] for label, token in cells]
+                                 for r in sequential]
+    assert 0 < (released == 0).sum() < released.size
+    assert rng.bit_generator.state == vector_rng.bit_generator.state
 
 
 def test_perturb_histogram_clamps_to_zero(monkeypatch):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from scipy.stats import beta
 
@@ -31,6 +32,8 @@ from dpsynth.rngutil import sub_rng
 from dpsynth.synth.mock import mock_original_corpus
 from dpsynth.synth.reconcile import reconcile_corpus
 
+from helpers import vector_releases
+
 AUDIT_SEED = 2020
 VOCAB_LIMIT = 20
 CONFIDENCE = 0.95
@@ -46,6 +49,14 @@ RARE_TOKEN = "zqxcanary"
 RARE_CANARY = NewsRecord(f"{RARE_TOKEN.capitalize()} border talks",
                          f"The {RARE_TOKEN} minister announced a summit.", ClassLabel.WORLD)
 N_CORPUS = 40
+
+# The out-of-key canary: one record whose KEY_COPIES copies of a token no other
+# record has put that token into World's top-K on its side only.
+KEY_TOKEN = "zqxkey"
+KEY_COPIES = 20
+KEY_CANARY = NewsRecord(f"{KEY_TOKEN.capitalize()} border talks",
+                        " ".join([KEY_TOKEN] * (KEY_COPIES - 1)), ClassLabel.WORLD)
+N_KEY = 10_000
 
 
 def neighbours(canary: NewsRecord, avoid: str) -> tuple[Corpus, Corpus]:
@@ -75,7 +86,8 @@ def world_cell(corpus: Corpus) -> int:
 
 
 def test_canaries_are_one_record_swaps():
-    for canary, avoid in ((CELL_CANARY, CELL_TOKEN), (RARE_CANARY, RARE_TOKEN)):
+    for canary, avoid in ((CELL_CANARY, CELL_TOKEN), (RARE_CANARY, RARE_TOKEN),
+                          (KEY_CANARY, KEY_TOKEN)):
         base, side = neighbours(canary, avoid)
         assert len(base.records) == len(side.records) == 100
         assert sum(a != b for a, b in zip(base.records, side.records)) == 1
@@ -85,6 +97,10 @@ def test_canaries_are_one_record_swaps():
     base, side = neighbours(RARE_CANARY, RARE_TOKEN)
     assert not any(RARE_TOKEN in tokenize(f"{r.title} {r.description}") for r in base.records)
     assert RARE_TOKEN not in build_histogram(side, VOCAB_LIMIT).per_class[ClassLabel.WORLD]
+    base, side = neighbours(KEY_CANARY, KEY_TOKEN)
+    assert not any(KEY_TOKEN in tokenize(f"{r.title} {r.description}") for r in base.records)
+    assert KEY_TOKEN not in build_histogram(base, VOCAB_LIMIT).per_class[ClassLabel.WORLD]
+    assert build_histogram(side, VOCAB_LIMIT).per_class[ClassLabel.WORLD][KEY_TOKEN] == KEY_COPIES
 
 
 def test_clopper_pearson_bound():
@@ -141,4 +157,25 @@ def test_corpus_canary_epsilon_lower_bound():
                         for r in out.records)
         guesses[name] = hits
     eps_lb = epsilon_lower_bound(guesses["base"], N_CORPUS - guesses["canary"], N_CORPUS, 0.0)
+    assert eps_lb <= params.epsilon, (eps_lb, guesses)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 2: the key set depends on the data, so a token that is in one "
+    "side's top-K only has a released count on that side alone"))
+@pytest.mark.parametrize("params", PARAMS)
+def test_out_of_key_canary_epsilon_lower_bound(params):
+    # The guess reads the canary token's released World count, 0 where the
+    # release has no such key, against half its true count on the canary side.
+    threshold = KEY_COPIES / 2
+    guesses = {}
+    for name, corpus in zip(("base", "canary"), neighbours(KEY_CANARY, KEY_TOKEN)):
+        hist = build_histogram(corpus, VOCAB_LIMIT)
+        cells, released = vector_releases(hist, params, DEFAULT_SENSITIVITY,
+                                          sub_rng(AUDIT_SEED, "key", params.mechanism.value, name),
+                                          N_KEY)
+        key = (ClassLabel.WORLD, KEY_TOKEN)
+        counts = released[:, cells.index(key)] if key in cells else np.zeros(N_KEY)
+        guesses[name] = int((counts >= threshold).sum())
+    eps_lb = epsilon_lower_bound(guesses["base"], N_KEY - guesses["canary"], N_KEY, params.delta)
     assert eps_lb <= params.epsilon, (eps_lb, guesses)

@@ -1151,6 +1151,22 @@ def world_record(title: str, desc: str) -> NewsRecord:
     return NewsRecord(title, desc, ClassLabel.WORLD)
 
 
+class DrawLog(np.random.Generator):
+    """``make_rng(seed)`` that also lists the arguments of each draw made on it."""
+
+    def __init__(self, seed: int):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = []
+
+    def choice(self, a, size=None, replace=True, **kwargs):
+        self.calls.append(("choice", int(a), int(size), replace))
+        return super().choice(a, size=size, replace=replace, **kwargs)
+
+    def integers(self, low, high=None, size=None, **kwargs):
+        self.calls.append(("integers", int(low), int(high), int(size)))
+        return super().integers(low, high, size=size, **kwargs)
+
+
 class TestReconcile:
     def test_matching_target_is_a_no_op(self):
         corpus = mock_original_corpus(4, seed=8)
@@ -1256,6 +1272,48 @@ class TestReconcile:
         }
         assert len(out.records) == len(corpus.records)
         assert [r.label for r in out.records] == [r.label for r in corpus.records]
+
+    def test_draws_follow_the_documented_order(self):
+        # Sports' one record receives 1200 copies; World has deletions, an
+        # emptied title and copies of two tokens; Business has no cells;
+        # Sci/Tech has deletions only, in two cells.
+        world = [world_record("Alpha", "beta gamma"),                # [| beta gamma]
+                 world_record("alpha beta", "gamma alpha delta"),    # [beta | gamma delta]
+                 world_record("beta delta", "gamma")]                # [beta delta | gamma]
+        sports = NewsRecord("match report", "final score", ClassLabel.SPORTS)
+        business = NewsRecord("market stocks", "trade deal", ClassLabel.BUSINESS)
+        scitech = NewsRecord("chip chip", "chip chip code code code", ClassLabel.SCITECH)
+        corpus = Corpus((world[0], sports, world[1], business, world[2], scitech))
+        target = TokenHistogram(per_class={
+            ClassLabel.WORLD: {"alpha": 0, "beta": 3, "delta": 2, "gamma": 8, "omega": 4},
+            ClassLabel.SPORTS: {"match": 1201, "score": 0},
+            ClassLabel.BUSINESS: {},
+            ClassLabel.SCITECH: {"chip": 2, "code": 1},
+        }, vocab_limit=5)
+        rng, mirror = DrawLog(77), DrawLog(77)
+        out = reconcile_corpus(corpus, target, rng)
+
+        # World: delete all 3 alphas; 5 gammas and 4 omegas go to 3 records,
+        # each then draws slots of its list (cut included) plus its copies.
+        mirror.choice(3, 3, replace=False)
+        received = np.bincount(mirror.integers(0, 3, 9), minlength=3)
+        for length, k in zip([3, 4, 4], received.tolist()):
+            if k:
+                mirror.choice(length + k - 1, k, replace=False)
+        # Sports: "match" takes copies, so only "score", later in token order,
+        # draws a deletion; then its one record takes all 1200 copies.
+        mirror.choice(1, 1, replace=False)
+        mirror.integers(0, 1, 1200)
+        mirror.choice(4 + 1200 - 1, 1200, replace=False)
+        # Business draws nothing; Sci/Tech deletes 2 of its 4 chips, then 2
+        # of its 3 codes.
+        mirror.choice(4, 2, replace=False)
+        mirror.choice(3, 2, replace=False)
+
+        assert rng.calls == mirror.calls
+        assert rng.bit_generator.state == mirror.bit_generator.state
+        assert out.records[3] is business
+        assert tokenize(f"{out.records[1].title} {out.records[1].description}").count("match") == 1201
 
     def test_count_vocab_tokens_helper_agrees_with_oracle(self):
         corpus = mock_original_corpus(4, seed=3)
